@@ -36,7 +36,7 @@ func runExperiment(b *testing.B, id string) {
 		r := experiments.Registry[id]()
 		if fails := experiments.Failures(r); len(fails) > 0 {
 			for _, c := range fails {
-				b.Errorf("%s: %s — %s", id, c.Name, c.Detail)
+				b.Errorf("%s: %s — %s", id, c.Name, c.Text())
 			}
 		}
 		r.Report(io.Discard)

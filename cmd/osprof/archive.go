@@ -178,7 +178,7 @@ func dedupNote(rr *runner.RunResult) string {
 func firstFailure(rr *runner.RunResult) string {
 	for _, c := range rr.Checks {
 		if !c.OK {
-			return c.Name + ": " + c.Detail
+			return c.Name + ": " + c.Text()
 		}
 	}
 	return rr.ArchiveErr

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"osprof/internal/live"
+	"osprof/internal/report"
 	"osprof/internal/serve"
 	"osprof/internal/store"
 )
@@ -28,6 +29,25 @@ import (
 // dedup against its server-side coalesced accumulation, proving the
 // batched/coalesced path archived exactly the state serial ingest
 // would have.
+
+// writeBenchDoc prints a bench report document to stdout and, when out
+// names a file, writes the same bytes there. It returns the exit code
+// for a failed write, 0 on success.
+func writeBenchDoc(stdout, stderr io.Writer, out string, doc any) int {
+	var buf bytes.Buffer
+	err := report.JSON(&buf, doc)
+	if err == nil {
+		_, err = stdout.Write(buf.Bytes())
+	}
+	if err == nil && out != "" {
+		err = os.WriteFile(out, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "osprof: %v\n", err)
+		return 2
+	}
+	return 0
+}
 
 // benchIngestSchema versions the bench report document.
 const benchIngestSchema = "osprof-bench-ingest/v1"
@@ -225,18 +245,8 @@ func cmdBench(rest []string, recorders, batch int, duration time.Duration,
 	if n := envelopes.Load(); n > 0 {
 		doc.AllocBytesPerEnvelope = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n)
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(stderr, "osprof: %v\n", err)
-		return 2
-	}
-	if out != "" {
-		data, _ := json.MarshalIndent(doc, "", "  ")
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "osprof: %v\n", err)
-			return 2
-		}
+	if code := writeBenchDoc(stdout, stderr, out, doc); code != 0 {
+		return code
 	}
 	if doc.HTTPErrors > 0 || doc.Parity != "ok" {
 		fmt.Fprintf(stderr, "osprof: bench ingest failed: %d http errors, parity %s\n",

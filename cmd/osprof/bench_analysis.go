@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -219,18 +218,8 @@ func cmdBenchAnalysis(runs, requests int, out string, stdout, stderr io.Writer) 
 		DiffP99Ms:     quantileMs(diffMs, 0.99),
 		Parity:        parity,
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(stderr, "osprof: %v\n", err)
-		return 2
-	}
-	if out != "" {
-		data, _ := json.MarshalIndent(doc, "", "  ")
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "osprof: %v\n", err)
-			return 2
-		}
+	if code := writeBenchDoc(stdout, stderr, out, doc); code != 0 {
+		return code
 	}
 	if doc.Parity != "ok" {
 		fmt.Fprintf(stderr, "osprof: bench analysis failed: parity %s\n", doc.Parity)

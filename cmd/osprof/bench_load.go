@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"osprof/internal/core"
@@ -154,18 +152,8 @@ func cmdBenchLoad(out string, stdout, stderr io.Writer) int {
 		}
 		doc.Cells = append(doc.Cells, cell)
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(stderr, "osprof: %v\n", err)
-		return 2
-	}
-	if out != "" {
-		data, _ := json.MarshalIndent(doc, "", "  ")
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "osprof: %v\n", err)
-			return 2
-		}
+	if code := writeBenchDoc(stdout, stderr, out, doc); code != 0 {
+		return code
 	}
 	if doc.MaxOverheadPct > benchLoadGatePct {
 		fmt.Fprintf(stderr, "osprof: bench load failed: %.1f%% overhead exceeds the %.0f%% budget\n",

@@ -144,7 +144,9 @@ func TestScenariosListAndSubset(t *testing.T) {
 }
 
 // Parallel and serial runs must produce identical check verdicts: each
-// experiment is an isolated deterministic simulation.
+// experiment is an isolated deterministic simulation. Figures a check
+// measured on the host (Check.Measured) vary between any two runs and
+// are left out of the comparison; Name, OK and Detail must match.
 func TestParallelVerdictsMatchSerial(t *testing.T) {
 	ids := []string{"eval-memory", "eval-locking", "fig7", "fig8"}
 	serial := append([]string{"checks", "-json"}, ids...)

@@ -310,10 +310,8 @@ func WriteDelta(w io.Writer, d *Delta) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s fingerprint=%q seq=%d\n", deltaHeader, d.Fingerprint, d.Seq)
 	writeMeta(bw, d.Meta)
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return writeSetAs(w, d.Set, deltaSetHeader)
+	writeSetAs(bw, d.Set, deltaSetHeader)
+	return bw.Flush()
 }
 
 // ReadDelta parses a delta envelope serialized by WriteDelta.

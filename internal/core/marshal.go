@@ -26,14 +26,18 @@ import (
 const setHeader = "osprof-set v1"
 
 // WriteSet serializes s to w.
-func WriteSet(w io.Writer, s *Set) error { return writeSetAs(w, s, setHeader) }
+func WriteSet(w io.Writer, s *Set) error {
+	bw := bufio.NewWriter(w)
+	writeSetAs(bw, s, setHeader)
+	return bw.Flush()
+}
 
-// writeSetAs serializes s under the given header keyword; the run
+// writeSetAs buffers s into bw under the given header keyword; the run
 // envelope uses setHeader, the delta envelope uses deltaSetHeader
 // (identical body grammar, but a delta block must not be mistaken for
-// a cumulative set).
-func writeSetAs(w io.Writer, s *Set, header string) error {
-	bw := bufio.NewWriter(w)
+// a cumulative set). The caller flushes bw, which reports any write
+// error.
+func writeSetAs(bw *bufio.Writer, s *Set, header string) {
 	fmt.Fprintf(bw, "%s %q r=%d\n", header, s.Name, s.R)
 	for _, p := range s.Profiles() {
 		fmt.Fprintf(bw, "op %q count=%d total=%d min=%d max=%d\n",
@@ -45,7 +49,6 @@ func writeSetAs(w io.Writer, s *Set, header string) error {
 		}
 	}
 	fmt.Fprintln(bw, "end")
-	return bw.Flush()
 }
 
 // ReadSet parses a profile set serialized by WriteSet and validates

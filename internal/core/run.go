@@ -76,10 +76,8 @@ func WriteRun(w io.Writer, r *Run) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s fingerprint=%q\n", runHeader, r.Fingerprint)
 	writeMeta(bw, r.Meta)
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return WriteSet(w, r.Set)
+	writeSetAs(bw, r.Set, setHeader)
+	return bw.Flush()
 }
 
 // ReadRun parses a run envelope serialized by WriteRun. A bare

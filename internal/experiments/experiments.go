@@ -19,9 +19,26 @@ import (
 
 // Check is one verified invariant.
 type Check struct {
-	Name   string
-	OK     bool
+	Name string
+	OK   bool
+
+	// Detail explains the verdict. It is deterministic: the same code
+	// and inputs always produce the same Detail.
 	Detail string
+
+	// Measured carries the figures a check read off the host (real
+	// goroutines racing), which differ from run to run. Empty for
+	// checks over simulated work.
+	Measured string `json:",omitempty"`
+}
+
+// Text is the check's one-line explanation: Detail, preceded by the
+// measured figures when there are any.
+func (c Check) Text() string {
+	if c.Measured == "" {
+		return c.Detail
+	}
+	return c.Measured + " (" + c.Detail + ")"
 }
 
 // Result is implemented by every experiment outcome.
@@ -89,6 +106,6 @@ func WriteCheckList(w io.Writer, checks []Check) {
 		if !c.OK {
 			status = "FAIL"
 		}
-		fmt.Fprintf(w, "  [%s] %-40s %s\n", status, c.Name, c.Detail)
+		fmt.Fprintf(w, "  [%s] %-40s %s\n", status, c.Name, c.Text())
 	}
 }

@@ -17,7 +17,7 @@ func assertAllChecks(t *testing.T, r Result) {
 	var buf bytes.Buffer
 	r.Report(&buf)
 	for _, c := range failures {
-		t.Errorf("%s: %s — %s", r.ID(), c.Name, c.Detail)
+		t.Errorf("%s: %s — %s", r.ID(), c.Name, c.Text())
 	}
 	t.Logf("report:\n%s", buf.String())
 }

@@ -51,7 +51,7 @@ func TestRecordScenarioSingleRun(t *testing.T) {
 			t.Error("single-run result claims a rerun check")
 		}
 		if !c.OK {
-			t.Errorf("check failed: %s %s", c.Name, c.Detail)
+			t.Errorf("check failed: %s %s", c.Name, c.Text())
 		}
 	}
 	set := r.ProfileSet()

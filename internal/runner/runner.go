@@ -7,7 +7,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -17,6 +16,7 @@ import (
 
 	"osprof/internal/core"
 	"osprof/internal/experiments"
+	"osprof/internal/report"
 )
 
 // Schema versions the JSON shape of RunResult so downstream tooling
@@ -213,7 +213,5 @@ func FailedChecks(results []RunResult) int {
 
 // WriteJSON emits the results as an indented JSON array.
 func WriteJSON(w io.Writer, results []RunResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	return report.JSON(w, results)
 }

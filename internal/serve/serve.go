@@ -114,7 +114,7 @@ type server struct {
 	opts Options
 
 	mu        sync.Mutex
-	corpusKey string
+	corpusKey corpusKey
 	corpus    *classify.Corpus
 	watches   map[string]*watchEntry // by watched run name
 	order     []string               // registration order
@@ -211,25 +211,27 @@ func (s *server) diff(w http.ResponseWriter, r *http.Request) {
 	respond(w, http.StatusOK, diff.NewSummaryFirst().Runs(a, b))
 }
 
+// corpusKey identifies an archive index state for the corpus memo:
+// the entry count plus the newest entry's identity.
+type corpusKey struct {
+	n   int
+	seq int
+	id  string
+}
+
 // identifyCorpus returns the identification corpus, rebuilding it only
 // when the archive index changed since the last build. Ingests may add
 // labeled runs at any time, but an unchanged index means an unchanged
 // corpus, so the common case (many identifications between ingests)
-// costs one small index read instead of loading every archived object
-// per request. The key covers the entry count plus the last entry's
-// identity: any Put appends (new last entry) and any GC removes
-// entries (count or last entry changes), so a stale hit would need an
-// index with the same length and the same newest run, which is the
-// same corpus.
+// reads the index length and newest entry in O(1), whatever the
+// archive size, instead of loading every archived object per request.
+// The key covers the entry count plus the last entry's identity: any
+// Put appends (new last entry) and any GC removes entries (count or
+// last entry changes), so a stale hit would need an index with the
+// same length and the same newest run, which is the same corpus.
 func (s *server) identifyCorpus() (*classify.Corpus, error) {
-	entries, err := s.arch.List()
-	if err != nil {
-		return nil, err
-	}
-	key := "empty"
-	if n := len(entries); n > 0 {
-		key = fmt.Sprintf("%d:%d:%s", n, entries[n-1].Seq, entries[n-1].ID)
-	}
+	n, newest := s.arch.Tail()
+	key := corpusKey{n: n, seq: newest.Seq, id: newest.ID}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.corpus != nil && s.corpusKey == key {

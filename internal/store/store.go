@@ -498,6 +498,17 @@ func (a *Archive) List() ([]Entry, error) {
 	return out, nil
 }
 
+// Tail returns the number of index entries and the newest one (the
+// zero Entry when the index is empty), read from the current snapshot
+// without copying it: O(1) however large the archive grows.
+func (a *Archive) Tail() (n int, newest Entry) {
+	snap := a.snap.Load()
+	if n = len(snap.entries); n > 0 {
+		newest = snap.entries[n-1]
+	}
+	return n, newest
+}
+
 // ListPage returns up to limit entries with sequence numbers strictly
 // greater than after, in record order, plus whether more remain. The
 // cursor is the last returned entry's Seq: paging a listing is O(page),
@@ -640,12 +651,8 @@ func (a *Archive) Baseline(fingerprint string) (Entry, bool, error) {
 // blessed baseline unreachable by name.
 func (a *Archive) BaselineByName(name string) (Entry, bool, error) {
 	snap := a.snap.Load()
-	blessed := make(map[string]bool, len(snap.baselines))
-	for _, id := range snap.baselines {
-		blessed[id] = true
-	}
 	e, ok := latestOf(snap.entries, func(e Entry) bool {
-		return e.Name == name && blessed[e.ID] && snap.baselines[e.Fingerprint] == e.ID
+		return e.Name == name && snap.baselines[e.Fingerprint] == e.ID
 	})
 	return e, ok, nil
 }
