@@ -47,15 +47,18 @@ const shardPad = 8
 
 // shardTotals carries the per-shard scalar aggregates (the Profile
 // header fields: Total, Min, Max) alongside the bucket array, padded to
-// a cache line so neighboring shards do not false-share. Each field is
+// cache lines so neighboring shards do not false-share. Each field is
 // updated with the same discipline as the shard's bucket counters:
 // lossy load/store for Unsync, atomic add/CAS for Locked, and plain
-// single-writer updates for Sharded.
+// single-writer updates for Sharded. The total, written on every
+// record, sits on its own line, so reading the rarely written extremes
+// does not wait on it.
 type shardTotals struct {
 	total uint64
+	_     [7]uint64
 	min   uint64 // ^uint64(0) until the first record lands
 	max   uint64
-	_     [5]uint64 // pad to 64 bytes
+	_     [6]uint64
 }
 
 // ConcurrentProfile is a histogram safe for use from multiple
@@ -108,25 +111,25 @@ func NewConcurrentProfileR(op string, r int, mode LockingMode, shards int) *Conc
 // Record sorts one latency into its bucket. In Sharded mode, shard
 // should identify the calling thread (e.g., a per-goroutine index);
 // other modes ignore it.
+//
+// Every mode publishes the sample's min and max before its bucket, so
+// a Snapshot that observes the count also observes the header extremes.
+// Locked and Sharded publish the total first too.
 func (p *ConcurrentProfile) Record(shard int, latency uint64) {
 	p.attempts.Add(1)
 	b := BucketFor(latency, p.R)
 	switch p.Mode {
 	case Unsync:
 		// Lossy read-modify-write: two concurrent updaters can both
-		// read n and both store n+1.
+		// read n and both store n+1. The total is as lossy as the
+		// buckets and goes last: its store, contended on every record,
+		// would otherwise widen the bucket race this mode measures.
+		t := &p.totals[0]
+		t.storeExtremes(latency)
 		addr := &p.shards[0][b]
 		atomic.StoreUint64(addr, atomic.LoadUint64(addr)+1)
-		t := &p.totals[0]
 		atomic.StoreUint64(&t.total, atomic.LoadUint64(&t.total)+latency)
-		if latency < atomic.LoadUint64(&t.min) {
-			atomic.StoreUint64(&t.min, latency)
-		}
-		if latency > atomic.LoadUint64(&t.max) {
-			atomic.StoreUint64(&t.max, latency)
-		}
 	case Locked:
-		atomic.AddUint64(&p.shards[0][b], 1)
 		t := &p.totals[0]
 		atomic.AddUint64(&t.total, latency)
 		for {
@@ -141,6 +144,7 @@ func (p *ConcurrentProfile) Record(shard int, latency uint64) {
 				break
 			}
 		}
+		atomic.AddUint64(&p.shards[0][b], 1)
 	case Sharded:
 		// Single writer per shard by contract, so a load/store pair
 		// loses nothing; using atomics (rather than plain ++) keeps
@@ -152,16 +156,22 @@ func (p *ConcurrentProfile) Record(shard int, latency uint64) {
 		if i < 0 {
 			i += len(p.shards)
 		}
-		addr := &p.shards[i][b]
-		atomic.StoreUint64(addr, atomic.LoadUint64(addr)+1)
 		t := &p.totals[i]
 		atomic.StoreUint64(&t.total, atomic.LoadUint64(&t.total)+latency)
-		if latency < atomic.LoadUint64(&t.min) {
-			atomic.StoreUint64(&t.min, latency)
-		}
-		if latency > atomic.LoadUint64(&t.max) {
-			atomic.StoreUint64(&t.max, latency)
-		}
+		t.storeExtremes(latency)
+		addr := &p.shards[i][b]
+		atomic.StoreUint64(addr, atomic.LoadUint64(addr)+1)
+	}
+}
+
+// storeExtremes folds latency into min and max with load/store pairs:
+// exact for a single writer, lossy under concurrent ones.
+func (t *shardTotals) storeExtremes(latency uint64) {
+	if latency < atomic.LoadUint64(&t.min) {
+		atomic.StoreUint64(&t.min, latency)
+	}
+	if latency > atomic.LoadUint64(&t.max) {
+		atomic.StoreUint64(&t.max, latency)
 	}
 }
 
@@ -189,13 +199,9 @@ func (p *ConcurrentProfile) Snapshot() *Profile {
 		t := &p.totals[i]
 		out.Total += atomic.LoadUint64(&t.total)
 		if shardCount > 0 {
-			// A writer stores the bucket before the min, so a snapshot
-			// racing a shard's first-ever Record can observe a count
-			// with min still at its ^0 sentinel; skip it rather than
-			// export a garbage header. (A genuine latency of 2^64-1 is
-			// indistinguishable from the sentinel and also skipped —
-			// that is ~344 years of cycles, not a real request.)
-			if min := atomic.LoadUint64(&t.min); min != ^uint64(0) && (!hasMin || min < out.Min) {
+			// Writers publish min and max before the bucket, so a
+			// counted shard's extremes are already set.
+			if min := atomic.LoadUint64(&t.min); !hasMin || min < out.Min {
 				out.Min = min
 				hasMin = true
 			}
