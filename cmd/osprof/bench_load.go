@@ -7,7 +7,6 @@ import (
 
 	"osprof/internal/core"
 	"osprof/internal/experiments"
-	"osprof/internal/load"
 	"osprof/internal/scenario"
 	"osprof/internal/sim"
 	"osprof/internal/vfs"
@@ -86,7 +85,7 @@ func benchLoadSpec(cpus int, loadOn bool) scenario.Spec {
 func benchLoadBaseOps(set *core.Set) uint64 {
 	var n uint64
 	for _, op := range set.Ops() {
-		if _, _, ok := load.SplitOp(op); ok {
+		if _, dim, _ := core.SplitOp(op); dim == core.DimLoad {
 			continue
 		}
 		n += set.Get(op).Count

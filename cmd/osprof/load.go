@@ -5,8 +5,8 @@ import (
 	"io"
 	"strconv"
 
+	"osprof/internal/core"
 	"osprof/internal/report"
-	"osprof/internal/sim"
 	"osprof/internal/store"
 )
 
@@ -34,10 +34,10 @@ func cmdLoad(rest []string, archiveDir string, realtime, jsonOut bool, stdout, s
 	}
 	doc := report.LoadOf(run.Set)
 	if realtime {
-		var occ [sim.LoadBands]uint64
+		var occ [core.LoadBands]uint64
 		found := false
-		for b := 0; b < sim.LoadBands; b++ {
-			v, ok := run.Meta["loadocc:"+sim.LoadBandName(b)]
+		for b, band := range core.DimLoad.Values() {
+			v, ok := run.Meta["loadocc:"+band]
 			if !ok {
 				continue
 			}

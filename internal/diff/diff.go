@@ -16,7 +16,6 @@ import (
 	"osprof/internal/analysis"
 	"osprof/internal/core"
 	"osprof/internal/summary"
-	"osprof/internal/trace"
 )
 
 // Schema versions the JSON shape of Report and MatrixReport so
@@ -126,148 +125,6 @@ func (r *Report) ChangedOps() []OpDiff {
 	return out
 }
 
-// LayerMove names the layer that moved under one traced operation: of
-// the operation's per-layer decomposition profiles (read@fs, read@disk,
-// ...), the one whose own differential verdict scored highest — or,
-// when no single layer profile was flagged, the one whose mean
-// self-latency moved farthest. CritA/CritB give each run's dominant
-// critical-path layer (the op@crit:layer profile with the most
-// inclusive latency), so a reader sees both which layer moved and
-// whether the move changed what dominates the request.
-type LayerMove struct {
-	// Op is the base operation ("read"), without the layer suffix.
-	Op string `json:"op"`
-
-	// Layer is the moving layer ("vfs", "fs", "pagecache", "driver",
-	// "disk", "net").
-	Layer string `json:"layer"`
-
-	// Verdict and Score are the moving layer profile's own diff
-	// verdict (Unchanged when the attribution fell back to mean
-	// movement).
-	Verdict Verdict `json:"verdict"`
-	Score   float64 `json:"score"`
-
-	// MeanA and MeanB are the moving layer's mean self-latency in
-	// cycles on each side.
-	MeanA uint64 `json:"mean_a"`
-	MeanB uint64 `json:"mean_b"`
-
-	// CritA and CritB are each side's dominant critical-path layer.
-	CritA string `json:"crit_a,omitempty"`
-	CritB string `json:"crit_b,omitempty"`
-
-	// Detail is a human-readable explanation.
-	Detail string `json:"detail,omitempty"`
-}
-
-// layerAgg accumulates one base operation's layer rows during the
-// attribution walk.
-type layerAgg struct {
-	base               string
-	layers             []OpDiff
-	changed            bool // base op or any layer row flagged
-	critA              string
-	critB              string
-	critTotA, critTotB uint64
-}
-
-// layerMoves computes the per-operation layer attribution from a
-// classified op list. Only operations with traced layer profiles and a
-// flagged change (on the base op or any of its layer rows) produce an
-// entry; an untraced diff returns nil.
-func layerMoves(ops []OpDiff) []LayerMove {
-	aggs := make(map[string]*layerAgg)
-	var order []string
-	get := func(base string) *layerAgg {
-		a, ok := aggs[base]
-		if !ok {
-			a = &layerAgg{base: base}
-			aggs[base] = a
-			order = append(order, base)
-		}
-		return a
-	}
-	baseChanged := make(map[string]bool)
-	for _, d := range ops {
-		base, layer, crit, ok := trace.SplitOp(d.Op)
-		if !ok {
-			if d.Verdict.Changed() {
-				baseChanged[d.Op] = true
-			}
-			continue
-		}
-		a := get(base)
-		if crit {
-			if d.CountA > 0 && (a.critA == "" || d.TotalA > a.critTotA) {
-				a.critA, a.critTotA = layer, d.TotalA
-			}
-			if d.CountB > 0 && (a.critB == "" || d.TotalB > a.critTotB) {
-				a.critB, a.critTotB = layer, d.TotalB
-			}
-			continue
-		}
-		a.layers = append(a.layers, d)
-		if d.Verdict.Changed() {
-			a.changed = true
-		}
-	}
-
-	var out []LayerMove
-	for _, base := range order {
-		a := aggs[base]
-		if len(a.layers) == 0 || !(a.changed || baseChanged[base]) {
-			continue
-		}
-		// Prefer the flagged layer row with the highest score; fall
-		// back to the largest absolute mean movement when only the
-		// base operation was flagged.
-		best := -1
-		for i, d := range a.layers {
-			if !d.Verdict.Changed() {
-				continue
-			}
-			if best < 0 || d.Score > a.layers[best].Score {
-				best = i
-			}
-		}
-		if best < 0 {
-			var bestDelta uint64
-			for i, d := range a.layers {
-				ma, mb := mean(d.TotalA, d.CountA), mean(d.TotalB, d.CountB)
-				delta := ma - mb
-				if mb > ma {
-					delta = mb - ma
-				}
-				if best < 0 || delta > bestDelta {
-					best, bestDelta = i, delta
-				}
-			}
-		}
-		d := a.layers[best]
-		_, layer, _, _ := trace.SplitOp(d.Op)
-		mv := LayerMove{
-			Op: base, Layer: layer,
-			Verdict: d.Verdict, Score: d.Score,
-			MeanA: mean(d.TotalA, d.CountA), MeanB: mean(d.TotalB, d.CountB),
-			CritA: a.critA, CritB: a.critB,
-		}
-		mv.Detail = fmt.Sprintf("%s self-mean %d -> %d cycles", layer, mv.MeanA, mv.MeanB)
-		if mv.CritA != "" && mv.CritB != "" && mv.CritA != mv.CritB {
-			mv.Detail += fmt.Sprintf("; critical path moved %s -> %s", mv.CritA, mv.CritB)
-		}
-		out = append(out, mv)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		x, y := out[i], out[j]
-		if x.Score != y.Score {
-			return x.Score > y.Score
-		}
-		return x.Op < y.Op
-	})
-	return out
-}
-
 func mean(total, count uint64) uint64 {
 	if count == 0 {
 		return 0
@@ -340,8 +197,9 @@ func (e *Engine) Sets(a, b *core.Set) *Report {
 		}
 		return x.Op < y.Op
 	})
-	rep.Layers = layerMoves(rep.Ops)
-	rep.Loads = loadMoves(rep.Ops)
+	groups := groupDerived(rep.Ops)
+	rep.Layers = layerMoves(groups)
+	rep.Loads = loadMoves(groups)
 	return rep
 }
 

@@ -2,6 +2,7 @@ package diff
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"osprof/internal/core"
@@ -215,5 +216,38 @@ func TestReportJSONShape(t *testing.T) {
 		if _, ok := op[key]; !ok {
 			t.Errorf("op JSON missing key %q: %s", key, data)
 		}
+	}
+}
+
+// The layer attribution picks the highest-scoring flagged layer row and
+// reads each side's dominant critical-path layer off the op@crit rows;
+// an operation with critical-path rows but no layer rows yields no
+// entry.
+func TestLayerAttributionTracksCriticalPath(t *testing.T) {
+	a, b := core.NewSet("a"), core.NewSet("b")
+	for _, s := range []*core.Set{a, b} {
+		fill(s, "read@fs", map[int]uint64{6: 1000})
+		fill(s, "write@crit:fs", map[int]uint64{7: 10})
+	}
+	fill(a, "read@disk", map[int]uint64{10: 100})
+	fill(b, "read@disk", map[int]uint64{14: 1000})
+	fill(a, "read@crit:fs", map[int]uint64{8: 900})
+	fill(b, "read@crit:fs", map[int]uint64{8: 100})
+	fill(a, "read@crit:disk", map[int]uint64{12: 10})
+	fill(b, "read@crit:disk", map[int]uint64{15: 900})
+
+	rep := New().Sets(a, b)
+	if len(rep.Layers) != 1 {
+		t.Fatalf("layers = %+v, want one entry", rep.Layers)
+	}
+	mv := rep.Layers[0]
+	if mv.Op != "read" || mv.Layer != "disk" || !mv.Verdict.Changed() {
+		t.Fatalf("attribution = %+v, want read moved in disk", mv)
+	}
+	if mv.CritA != "fs" || mv.CritB != "disk" {
+		t.Errorf("critical path %q -> %q, want fs -> disk", mv.CritA, mv.CritB)
+	}
+	if !strings.Contains(mv.Detail, "critical path moved fs -> disk") {
+		t.Errorf("detail %q misses the critical-path move", mv.Detail)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"osprof/internal/core"
 	"osprof/internal/diff"
 	"osprof/internal/scenario"
-	"osprof/internal/sim"
 )
 
 // TestLoadCellsDiffAttribution is the end-to-end acceptance path: two
@@ -59,10 +58,10 @@ func TestRunMetaCarriesLoadOccupancy(t *testing.T) {
 		t.Fatalf("conditioned run meta: %v", m)
 	}
 	var total uint64
-	for b := 0; b < sim.LoadBands; b++ {
-		v, ok := m["loadocc:"+sim.LoadBandName(b)]
+	for _, band := range core.DimLoad.Values() {
+		v, ok := m["loadocc:"+band]
 		if !ok {
-			t.Fatalf("meta misses band %s: %v", sim.LoadBandName(b), m)
+			t.Fatalf("meta misses band %s: %v", band, m)
 		}
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"osprof/internal/cycles"
 	"osprof/internal/report"
 	"osprof/internal/scenario"
-	"osprof/internal/sim"
 	"osprof/internal/store"
 )
 
@@ -174,7 +173,7 @@ func (r *ScenarioResult) RunMeta() map[string]string {
 		m["loadprofile"] = "true"
 		occ := r.Stack.K.LoadOccupancy()
 		for b, c := range occ {
-			m["loadocc:"+sim.LoadBandName(b)] = fmt.Sprintf("%d", c)
+			m["loadocc:"+core.DimLoad.Values()[b]] = fmt.Sprintf("%d", c)
 		}
 	}
 	return m

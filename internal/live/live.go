@@ -230,7 +230,7 @@ func (rec *Recorder) materialize(op string) *collector {
 type Span struct {
 	rec   *Recorder
 	op    string
-	base  string // root operation name; children derive "<base>@<layer>"
+	base  string // root operation name, the base of every child's name
 	shard int
 	start cycles.Cycles
 }
@@ -246,10 +246,10 @@ func (rec *Recorder) StartShard(shard int, op string) Span {
 }
 
 // Child opens a sub-span attributing part of the parent operation to
-// one layer: ending it records the child's latency under
-// "<rootop>@<layer>", the op naming the layered diff and the trace
-// subsystem's per-layer folds share. The layer always pairs with the
-// root operation, so a child of a child is a sibling in naming
+// one layer: ending it records the child's latency under the root
+// operation's core.DimLayer name, the one the layered diff and the
+// trace subsystem's per-layer folds share. The layer always pairs with
+// the root operation, so a child of a child is a sibling in naming
 // ("read@disk", never "read@fs@disk"), and child latencies are
 // inclusive — the live side has no entry/exit pairing to compute
 // self-times from, and the layered analyses only need per-layer
@@ -261,7 +261,7 @@ func (s Span) Child(layer string) Span {
 		return Span{}
 	}
 	return Span{
-		rec: s.rec, op: s.base + "@" + layer, base: s.base,
+		rec: s.rec, op: core.DimLayer.Op(s.base, layer), base: s.base,
 		shard: s.shard, start: s.rec.clock(),
 	}
 }

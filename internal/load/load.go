@@ -3,128 +3,46 @@
 // interpretable alongside how many processes were competing for CPUs
 // when it was taken. Profilers record each sample twice — once into
 // the ordinary per-operation profile and once into a load-keyed
-// companion profile under a derived operation name:
-//
-//	read@load:1     samples taken with the sampling process alone
-//	read@load:2-4   samples taken at run-queue load 2-4
-//	read@load:5+    samples taken at load 5 and above
-//
-// The bands are sim.LoadBands; the naming contract mirrors the layer
-// tracer's (`read@fs`), so every downstream surface — envelopes,
-// archive, diff, summary, serve — carries the load dimension with no
-// format change. Weights implements perf-load's -realtime
-// normalization: per-band histograms are scaled by the observed band
-// occupancy so quantiles read as wall-clock expectations instead of
-// per-sample averages.
+// companion profile, named along core.DimLoad (one per sim.LoadBand),
+// so every downstream surface — envelopes, archive, diff, summary,
+// serve — carries the load dimension with no format change. Weights
+// implements perf-load's -realtime normalization: per-band histograms
+// are scaled by the observed band occupancy so quantiles read as
+// wall-clock expectations instead of per-sample averages.
 package load
 
-import (
-	"strings"
-
-	"osprof/internal/core"
-	"osprof/internal/sim"
-)
-
-// prefix is the op-name marker of a load-keyed companion profile.
-const prefix = "@load:"
-
-// OpName derives the companion profile name of base at band.
-func OpName(base string, band int) string {
-	return base + prefix + sim.LoadBandName(band)
-}
-
-// BandIndex returns the band index of a band display name, or -1. The
-// strictness keeps SplitOp from misreading user-defined operation
-// names that merely contain the marker.
-func BandIndex(name string) int {
-	for b := 0; b < sim.LoadBands; b++ {
-		if name == sim.LoadBandName(b) {
-			return b
-		}
-	}
-	return -1
-}
-
-// BandNames returns the band display names in band order.
-func BandNames() []string { return sim.LoadBandNames() }
-
-// SplitOp decomposes a load-keyed operation name: "read@load:2-4"
-// yields ("read", "2-4", true). ok is false for every other name,
-// including layer-derived ops like "read@fs" — and, symmetrically,
-// trace.SplitOp rejects load bands — so the two derived dimensions
-// never shadow each other.
-func SplitOp(op string) (base, band string, ok bool) {
-	i := strings.LastIndex(op, prefix)
-	if i < 0 {
-		return "", "", false
-	}
-	band = op[i+len(prefix):]
-	if BandIndex(band) < 0 {
-		return "", "", false
-	}
-	return op[:i], band, true
-}
-
-// bandProfiles caches one operation's per-band profiles so the
-// steady-state record path is allocation-free (the tracer's opHandles
-// pattern): names are concatenated and profiles created only the
-// first time a (op, band) pair is touched.
-type bandProfiles [sim.LoadBands]*core.Profile
+import "osprof/internal/core"
 
 // Recorder folds load-keyed samples into a profile set. A nil
 // *Recorder is valid and inert so profilers can carry the field
 // unconditionally.
 type Recorder struct {
 	set *core.Set
-	ops map[string]*bandProfiles
 }
 
 // NewRecorder creates a recorder folding into set.
 func NewRecorder(set *core.Set) *Recorder {
-	return &Recorder{set: set, ops: make(map[string]*bandProfiles)}
+	return &Recorder{set: set}
 }
 
-// Record sorts one latency sample into op's band profile. Hot paths
-// that know their operation up front should pre-resolve a Handle
-// instead and skip the per-sample map lookup.
-func (r *Recorder) Record(op string, band int, latency uint64) {
-	if r == nil {
-		return
-	}
-	h := r.ops[op]
-	if h == nil {
-		h = &bandProfiles{}
-		r.ops[op] = h
-	}
-	prof := h[band]
-	if prof == nil {
-		prof = r.set.Get(OpName(op, band))
-		h[band] = prof
-	}
-	prof.Record(latency)
-}
-
-// Handle is a pre-resolved per-operation recording handle: the op map
-// lookup is paid once at instrumentation time instead of per sample
-// (the tracer's opHandles pattern). A nil *Handle is valid and inert.
+// Handle is a pre-resolved per-operation recording handle (the
+// tracer's opHandles pattern): band profiles are named and created the
+// first time a band is touched, so the steady-state record path is
+// allocation-free. Handles of one operation share its band profiles
+// through the set. A nil *Handle is valid and inert.
 type Handle struct {
-	r     *Recorder
+	set   *core.Set
 	op    string
-	profs *bandProfiles
+	profs [core.LoadBands]*core.Profile
 }
 
-// Handle resolves op's recording handle, creating the band slot table
-// on first sight. Returns nil on a nil recorder.
+// Handle resolves op's recording handle. Returns nil on a nil
+// recorder.
 func (r *Recorder) Handle(op string) *Handle {
 	if r == nil {
 		return nil
 	}
-	h := r.ops[op]
-	if h == nil {
-		h = &bandProfiles{}
-		r.ops[op] = h
-	}
-	return &Handle{r: r, op: op, profs: h}
+	return &Handle{set: r.set, op: op}
 }
 
 // Record sorts one latency sample into the handle's band profile.
@@ -134,7 +52,7 @@ func (h *Handle) Record(band int, latency uint64) {
 	}
 	prof := h.profs[band]
 	if prof == nil {
-		prof = h.r.set.Get(OpName(h.op, band))
+		prof = h.set.Get(core.DimLoad.Op(h.op, core.DimLoad.Values()[band]))
 		h.profs[band] = prof
 	}
 	prof.Record(latency)
@@ -150,17 +68,17 @@ func (h *Handle) Record(band int, latency uint64) {
 // sample" to "per cycle of wall-clock at that load", so a band the
 // machine lived in but rarely sampled stops being underrepresented.
 // Bands with no samples get weight 0.
-func Weights(occ, counts [sim.LoadBands]uint64) [sim.LoadBands]float64 {
-	var w [sim.LoadBands]float64
+func Weights(occ, counts [core.LoadBands]uint64) [core.LoadBands]float64 {
+	var w [core.LoadBands]float64
 	var totOcc, totCnt uint64
-	for b := 0; b < sim.LoadBands; b++ {
+	for b := 0; b < core.LoadBands; b++ {
 		totOcc += occ[b]
 		totCnt += counts[b]
 	}
 	if totOcc == 0 || totCnt == 0 {
 		return w
 	}
-	for b := 0; b < sim.LoadBands; b++ {
+	for b := 0; b < core.LoadBands; b++ {
 		if counts[b] == 0 {
 			continue
 		}

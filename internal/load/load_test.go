@@ -4,69 +4,16 @@ import (
 	"testing"
 
 	"osprof/internal/core"
-	"osprof/internal/sim"
 )
-
-func TestOpNameSplitOpRoundTrip(t *testing.T) {
-	for b := 0; b < sim.LoadBands; b++ {
-		name := OpName("read", b)
-		base, band, ok := SplitOp(name)
-		if !ok || base != "read" || band != sim.LoadBandName(b) {
-			t.Errorf("SplitOp(%q) = %q, %q, %v", name, base, band, ok)
-		}
-	}
-}
-
-func TestSplitOpRejectsNonLoadOps(t *testing.T) {
-	for _, op := range []string{
-		"read",           // plain op
-		"read@vfs",       // layer-derived op
-		"read@crit:vfs",  // critical-path op
-		"read@load:",     // empty band
-		"read@load:vfs",  // not a band name
-		"read@load:0",    // not a band name
-		"@load:1",        // empty base
-		"read@load:1@x",  // suffix must be last
-		"read@load:2-4 ", // trailing junk
-	} {
-		base, band, ok := SplitOp(op)
-		if op == "@load:1" {
-			// An empty base never occurs in practice but must not panic;
-			// either verdict is acceptable as long as it's consistent.
-			continue
-		}
-		if ok {
-			t.Errorf("SplitOp(%q) accepted: base=%q band=%q", op, base, band)
-		}
-	}
-	// Only the LAST @load: marker counts, so a pathological base
-	// containing the marker still round-trips.
-	base, band, ok := SplitOp("read@load:1@load:5+")
-	if !ok || base != "read@load:1" || band != "5+" {
-		t.Errorf("nested marker: base=%q band=%q ok=%v", base, band, ok)
-	}
-}
-
-func TestBandIndex(t *testing.T) {
-	for b := 0; b < sim.LoadBands; b++ {
-		if got := BandIndex(sim.LoadBandName(b)); got != b {
-			t.Errorf("BandIndex(%q) = %d, want %d", sim.LoadBandName(b), got, b)
-		}
-	}
-	for _, bad := range []string{"", "0", "2", "vfs", "5"} {
-		if got := BandIndex(bad); got != -1 {
-			t.Errorf("BandIndex(%q) = %d, want -1", bad, got)
-		}
-	}
-}
 
 func TestRecorderRecordsIntoBandProfiles(t *testing.T) {
 	set := core.NewSet("t")
 	r := NewRecorder(set)
-	r.Record("read", 0, 100)
-	r.Record("read", 0, 200)
-	r.Record("read", 2, 50_000)
-	r.Record("write", 1, 900)
+	read, write := r.Handle("read"), r.Handle("write")
+	read.Record(0, 100)
+	read.Record(0, 200)
+	read.Record(2, 50_000)
+	write.Record(1, 900)
 
 	if p := set.Lookup("read@load:1"); p == nil || p.Count != 2 {
 		t.Errorf("read@load:1 = %+v", p)
@@ -84,26 +31,7 @@ func TestRecorderRecordsIntoBandProfiles(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.Record("read", 0, 100) // must not panic
-}
-
-// TestRecordAllocationFree pins the hot path: recording into an
-// already-seen (op, band) pair must not allocate — the same property
-// the probes rely on to stay pure observers. CI gates on this test.
-func TestRecordAllocationFree(t *testing.T) {
-	set := core.NewSet("t")
-	r := NewRecorder(set)
-	for b := 0; b < sim.LoadBands; b++ {
-		r.Record("read", b, 100) // warm the per-op cache
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		r.Record("read", 0, 100)
-		r.Record("read", 1, 2_000)
-		r.Record("read", 2, 50_000)
-	})
-	if avg != 0 {
-		t.Errorf("Record allocates %.1f times per op triple, want 0", avg)
-	}
+	r.Handle("read").Record(0, 100) // must not panic
 }
 
 // TestHandleRecordAllocationFree pins the pre-bound path the probes
@@ -113,7 +41,7 @@ func TestHandleRecordAllocationFree(t *testing.T) {
 	set := core.NewSet("t")
 	r := NewRecorder(set)
 	h := r.Handle("read")
-	for b := 0; b < sim.LoadBands; b++ {
+	for b := 0; b < core.LoadBands; b++ {
 		h.Record(b, 100) // warm the band profiles
 	}
 	avg := testing.AllocsPerRun(1000, func() {
@@ -126,15 +54,15 @@ func TestHandleRecordAllocationFree(t *testing.T) {
 	}
 }
 
-// A handle and direct Record share the same band profiles, and a nil
-// recorder hands out a nil, inert handle.
+// Two handles of one operation share the same band profiles, and a
+// nil recorder hands out a nil, inert handle.
 func TestHandleSharesProfiles(t *testing.T) {
 	set := core.NewSet("t")
 	r := NewRecorder(set)
-	r.Record("read", 1, 100)
+	r.Handle("read").Record(1, 100)
 	h := r.Handle("read")
 	h.Record(1, 200)
-	if got := set.Get(OpName("read", 1)).Count; got != 2 {
+	if got := set.Get("read@load:2-4").Count; got != 2 {
 		t.Errorf("band profile count = %d, want 2 (handle split the op)", got)
 	}
 	var nilR *Recorder
@@ -149,8 +77,8 @@ func TestWeights(t *testing.T) {
 	// Band 0 holds 90% of the occupancy but only 50% of the samples:
 	// its weight must exceed 1; band 2 (10% occ, 50% samples) must be
 	// under-weighted symmetrically.
-	occ := [sim.LoadBands]uint64{900, 0, 100}
-	counts := [sim.LoadBands]uint64{500, 0, 500}
+	occ := [core.LoadBands]uint64{900, 0, 100}
+	counts := [core.LoadBands]uint64{500, 0, 500}
 	w := Weights(occ, counts)
 	if w[0] != 1.8 {
 		t.Errorf("w[0] = %v, want 1.8", w[0])
@@ -163,9 +91,9 @@ func TestWeights(t *testing.T) {
 	}
 
 	// Degenerate inputs produce zeros, not NaN.
-	for _, c := range []struct{ occ, cnt [sim.LoadBands]uint64 }{
-		{[sim.LoadBands]uint64{}, counts},
-		{occ, [sim.LoadBands]uint64{}},
+	for _, c := range []struct{ occ, cnt [core.LoadBands]uint64 }{
+		{[core.LoadBands]uint64{}, counts},
+		{occ, [core.LoadBands]uint64{}},
 	} {
 		for b, v := range Weights(c.occ, c.cnt) {
 			if v != 0 {

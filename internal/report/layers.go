@@ -3,11 +3,9 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"osprof/internal/core"
 	"osprof/internal/cycles"
-	"osprof/internal/trace"
 )
 
 // LayersSchema versions the `osprof trace -json` document.
@@ -53,73 +51,23 @@ type CritEntry struct {
 }
 
 // LayersOf extracts the layer decomposition from a traced run's set:
-// every internal/trace op@layer profile grouped under its base
+// every core.DimLayer and core.DimCrit profile grouped under its base
 // operation, heaviest operation first. An untraced set yields a doc
 // with no ops.
 func LayersOf(set *core.Set) *LayersDoc {
-	type opAgg struct {
-		doc    LayerOpDoc
-		layers map[string]*core.Profile
-		crits  map[string]*core.Profile
-	}
-	byOp := make(map[string]*opAgg)
-	var order []string
-	for _, name := range set.Ops() {
-		base, layer, crit, ok := trace.SplitOp(name)
-		if !ok {
-			continue
-		}
-		prof := set.Lookup(name)
-		if prof == nil || prof.Count == 0 {
-			continue
-		}
-		a, seen := byOp[base]
-		if !seen {
-			a = &opAgg{
-				doc:    LayerOpDoc{Op: base},
-				layers: make(map[string]*core.Profile),
-				crits:  make(map[string]*core.Profile),
-			}
-			byOp[base] = a
-			order = append(order, base)
-		}
-		if crit {
-			a.crits[layer] = prof
-		} else {
-			a.layers[layer] = prof
-			a.doc.Total += prof.Total
-		}
-	}
-
 	doc := &LayersDoc{Schema: LayersSchema, Set: set.Name}
-	if len(order) == 0 {
-		return doc
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		x, y := byOp[order[i]], byOp[order[j]]
-		if x.doc.Total != y.doc.Total {
-			return x.doc.Total > y.doc.Total
+	for _, g := range groupDerived(set, core.DimLayer, core.DimCrit) {
+		op := LayerOpDoc{Op: g.op, Total: g.total}
+		for _, r := range g.rows[0] {
+			op.Layers = append(op.Layers, LayerEntry{
+				Layer: r.value, Count: r.Count, Total: r.Total,
+				Mean: r.Total / r.Count, Share: r.share,
+			})
 		}
-		return x.doc.Op < y.doc.Op
-	})
-	for _, op := range order {
-		a := byOp[op]
-		for _, layer := range trace.LayerNames() {
-			if prof, ok := a.layers[layer]; ok {
-				share := 0.0
-				if a.doc.Total > 0 {
-					share = float64(prof.Total) / float64(a.doc.Total)
-				}
-				a.doc.Layers = append(a.doc.Layers, LayerEntry{
-					Layer: layer, Count: prof.Count, Total: prof.Total,
-					Mean: prof.Total / prof.Count, Share: share,
-				})
-			}
-			if prof, ok := a.crits[layer]; ok {
-				a.doc.Crit = append(a.doc.Crit, CritEntry{Layer: layer, Count: prof.Count})
-			}
+		for _, r := range g.rows[1] {
+			op.Crit = append(op.Crit, CritEntry{Layer: r.value, Count: r.Count})
 		}
-		doc.Ops = append(doc.Ops, a.doc)
+		doc.Ops = append(doc.Ops, op)
 	}
 	return doc
 }

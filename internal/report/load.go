@@ -3,12 +3,10 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"osprof/internal/core"
 	"osprof/internal/cycles"
 	"osprof/internal/load"
-	"osprof/internal/sim"
 )
 
 // LoadSchema versions the `osprof load -json` document.
@@ -67,66 +65,19 @@ type LoadBandEntry struct {
 }
 
 // LoadOf extracts the load decomposition from a run's set: every
-// internal/load op@load:band profile grouped under its base operation,
-// heaviest operation first. An unconditioned set yields a doc with no
-// ops.
+// core.DimLoad profile grouped under its base operation, heaviest
+// operation first. An unconditioned set yields a doc with no ops.
 func LoadOf(set *core.Set) *LoadDoc {
-	type opAgg struct {
-		doc   LoadOpDoc
-		bands map[string]*core.Profile
-	}
-	byOp := make(map[string]*opAgg)
-	var order []string
-	for _, name := range set.Ops() {
-		base, band, ok := load.SplitOp(name)
-		if !ok {
-			continue
-		}
-		prof := set.Lookup(name)
-		if prof == nil || prof.Count == 0 {
-			continue
-		}
-		a, seen := byOp[base]
-		if !seen {
-			a = &opAgg{
-				doc:   LoadOpDoc{Op: base},
-				bands: make(map[string]*core.Profile),
-			}
-			byOp[base] = a
-			order = append(order, base)
-		}
-		a.bands[band] = prof
-		a.doc.Total += prof.Total
-	}
-
 	doc := &LoadDoc{Schema: LoadSchema, Set: set.Name}
-	if len(order) == 0 {
-		return doc
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		x, y := byOp[order[i]], byOp[order[j]]
-		if x.doc.Total != y.doc.Total {
-			return x.doc.Total > y.doc.Total
-		}
-		return x.doc.Op < y.doc.Op
-	})
-	for _, op := range order {
-		a := byOp[op]
-		for _, band := range load.BandNames() {
-			prof, ok := a.bands[band]
-			if !ok {
-				continue
-			}
-			share := 0.0
-			if a.doc.Total > 0 {
-				share = float64(prof.Total) / float64(a.doc.Total)
-			}
-			a.doc.Bands = append(a.doc.Bands, LoadBandEntry{
-				Band: band, Count: prof.Count, Total: prof.Total,
-				Mean: prof.Total / prof.Count, Share: share,
+	for _, g := range groupDerived(set, core.DimLoad) {
+		op := LoadOpDoc{Op: g.op, Total: g.total}
+		for _, r := range g.rows[0] {
+			op.Bands = append(op.Bands, LoadBandEntry{
+				Band: r.value, Count: r.Count, Total: r.Total,
+				Mean: r.Total / r.Count, Share: r.share,
 			})
 		}
-		doc.Ops = append(doc.Ops, a.doc)
+		doc.Ops = append(doc.Ops, op)
 	}
 	return doc
 }
@@ -136,33 +87,33 @@ func LoadOf(set *core.Set) *LoadDoc {
 // scaled by w = (occupancy share) / (sample share), so a band the
 // machine lived in but rarely sampled stops being underrepresented
 // and shares read as wall-clock expectations.
-func LoadApplyRealtime(doc *LoadDoc, occ [sim.LoadBands]uint64) {
+func LoadApplyRealtime(doc *LoadDoc, occ [core.LoadBands]uint64) {
 	doc.Realtime = true
 	var totOcc uint64
 	for _, c := range occ {
 		totOcc += c
 	}
 	doc.Occupancy = doc.Occupancy[:0]
-	for b := 0; b < sim.LoadBands; b++ {
+	for b, band := range core.DimLoad.Values() {
 		share := 0.0
 		if totOcc > 0 {
 			share = float64(occ[b]) / float64(totOcc)
 		}
 		doc.Occupancy = append(doc.Occupancy, LoadOccEntry{
-			Band: sim.LoadBandName(b), Cycles: occ[b], Share: share,
+			Band: band, Cycles: occ[b], Share: share,
 		})
 	}
 	for i := range doc.Ops {
 		op := &doc.Ops[i]
-		var counts [sim.LoadBands]uint64
+		var counts [core.LoadBands]uint64
 		for _, e := range op.Bands {
-			counts[load.BandIndex(e.Band)] = e.Count
+			counts[core.DimLoad.Index(e.Band)] = e.Count
 		}
 		w := load.Weights(occ, counts)
 		var wTotal float64
 		for j := range op.Bands {
 			e := &op.Bands[j]
-			e.Weight = w[load.BandIndex(e.Band)]
+			e.Weight = w[core.DimLoad.Index(e.Band)]
 			wTotal += float64(e.Total) * e.Weight
 		}
 		for j := range op.Bands {

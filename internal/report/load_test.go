@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"osprof/internal/core"
-	"osprof/internal/sim"
 )
 
 // loadSet builds a conditioned set: read in bands 1 and 5+, write in
@@ -75,9 +74,9 @@ func TestLoadApplyRealtimeWeights(t *testing.T) {
 	// The machine spent 90% of its cycles in band 1 and 10% in 5+, but
 	// read sampled them 200/100: band 1 is underrepresented and must be
 	// up-weighted.
-	occ := [sim.LoadBands]uint64{900, 0, 100}
+	occ := [core.LoadBands]uint64{900, 0, 100}
 	LoadApplyRealtime(doc, occ)
-	if !doc.Realtime || len(doc.Occupancy) != sim.LoadBands {
+	if !doc.Realtime || len(doc.Occupancy) != core.LoadBands {
 		t.Fatalf("realtime header: %+v", doc)
 	}
 	if doc.Occupancy[0].Share != 0.9 || doc.Occupancy[2].Share != 0.1 {
@@ -122,7 +121,7 @@ func TestLoadRenderTables(t *testing.T) {
 		t.Error("plain table shows realtime columns")
 	}
 
-	LoadApplyRealtime(doc, [sim.LoadBands]uint64{900, 50, 50})
+	LoadApplyRealtime(doc, [core.LoadBands]uint64{900, 50, 50})
 	buf.Reset()
 	Load(&buf, doc)
 	out = buf.String()

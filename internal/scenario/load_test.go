@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"osprof/internal/load"
+	"osprof/internal/core"
 	"osprof/internal/sim"
 	"osprof/internal/vfs"
 )
@@ -117,7 +117,7 @@ func TestLoadProfileRecordsBandedCompanions(t *testing.T) {
 	// The companions account for exactly the probe's base samples.
 	var banded uint64
 	for _, op := range packed.Set.Ops() {
-		if _, _, ok := load.SplitOp(op); ok && strings.HasPrefix(op, "read@load:") {
+		if base, dim, _ := core.SplitOp(op); dim == core.DimLoad && base == "read" {
 			banded += packed.Set.Lookup(op).Count
 		}
 	}
@@ -158,7 +158,7 @@ func TestLoadProfileIsPureObserver(t *testing.T) {
 		}
 	}
 	for _, op := range on.Set.Ops() {
-		if _, _, ok := load.SplitOp(op); !ok && off.Set.Lookup(op) == nil {
+		if _, dim, _ := core.SplitOp(op); dim != core.DimLoad && off.Set.Lookup(op) == nil {
 			t.Errorf("conditioned run grew non-load op %s", op)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"osprof/internal/core"
 	"osprof/internal/cycles"
 )
 
@@ -120,7 +121,7 @@ type Kernel struct {
 	loadTrack bool
 	loadCur   int
 	loadLast  uint64
-	loadOcc   [LoadBands]uint64
+	loadOcc   [core.LoadBands]uint64
 }
 
 // cpu models one processor. A CPU is occupied while a process runs or

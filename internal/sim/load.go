@@ -1,24 +1,19 @@
 package sim
 
+import "osprof/internal/core"
+
 // Run-queue load as a profile dimension (perf-load's insight): a
 // latency sample is only interpretable alongside how many processes
 // were competing for CPUs when it was taken. The kernel exposes a
 // cheap instantaneous load probe (Load) and, when enabled via
 // TrackLoad, accounts how many cycles the machine spent in each
 // log-spaced load band so analysis can weight per-band histograms by
-// observed band occupancy (the -realtime normalization).
+// observed band occupancy (the -realtime normalization). The bands and
+// their names are the core.DimLoad values.
 
-// LoadBands is the number of log-spaced run-queue load bands.
-const LoadBands = 3
-
-// loadBandNames are the band display names, in band order. They are
-// part of the op-naming contract (`read@load:2-4`), so they must never
-// change for archived runs to stay comparable.
-var loadBandNames = [LoadBands]string{"1", "2-4", "5+"}
-
-// LoadBand maps an instantaneous load to its log-spaced band index:
-// band 0 covers load <=1 (the sampling process alone), band 1 covers
-// 2-4, band 2 covers 5 and above.
+// LoadBand maps an instantaneous load to its index in
+// core.DimLoad.Values(): band 0 covers load <=1 (the sampling process
+// alone), band 1 covers 2-4, band 2 covers 5 and above.
 func LoadBand(n int) int {
 	switch {
 	case n <= 1:
@@ -29,12 +24,6 @@ func LoadBand(n int) int {
 		return 2
 	}
 }
-
-// LoadBandName returns a band's display name ("1", "2-4", "5+").
-func LoadBandName(band int) string { return loadBandNames[band] }
-
-// LoadBandNames returns the band names in band order.
-func LoadBandNames() []string { return loadBandNames[:] }
 
 // Load returns the instantaneous run-queue load: processes running or
 // spinning on a CPU plus processes waiting on the run queue. It is a
@@ -90,7 +79,7 @@ func (k *Kernel) LoadTracked() bool { return k.loadTrack }
 // LoadOccupancy returns the cycles spent in each load band since
 // TrackLoad, including the still-open interval up to now. All zeros
 // when tracking was never enabled.
-func (k *Kernel) LoadOccupancy() [LoadBands]uint64 {
+func (k *Kernel) LoadOccupancy() [core.LoadBands]uint64 {
 	occ := k.loadOcc
 	if k.loadTrack {
 		occ[LoadBand(k.loadCur)] += k.now - k.loadLast

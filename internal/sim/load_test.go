@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"osprof/internal/core"
+)
 
 func TestLoadBandEdges(t *testing.T) {
 	cases := []struct {
@@ -19,12 +23,9 @@ func TestLoadBandEdges(t *testing.T) {
 		if got := LoadBand(c.load); got != c.band {
 			t.Errorf("LoadBand(%d) = %d, want %d", c.load, got, c.band)
 		}
-		if got := LoadBandName(LoadBand(c.load)); got != c.name {
-			t.Errorf("LoadBandName(LoadBand(%d)) = %q, want %q", c.load, got, c.name)
+		if got := core.DimLoad.Values()[LoadBand(c.load)]; got != c.name {
+			t.Errorf("band name of load %d = %q, want %q", c.load, got, c.name)
 		}
-	}
-	if names := LoadBandNames(); len(names) != LoadBands || names[0] != "1" {
-		t.Errorf("LoadBandNames() = %v", names)
 	}
 }
 
@@ -120,7 +121,7 @@ func TestLoadOccupancyZeroWithoutTracking(t *testing.T) {
 	k := New(Config{NumCPUs: 1, ContextSwitch: 100})
 	k.Spawn("w", func(p *Proc) { p.Exec(1_000) })
 	k.Run()
-	if occ := k.LoadOccupancy(); occ != [LoadBands]uint64{} {
+	if occ := k.LoadOccupancy(); occ != [core.LoadBands]uint64{} {
 		t.Errorf("untracked kernel accrued occupancy: %v", occ)
 	}
 }

@@ -4,18 +4,19 @@
 // disk (and the network for CIFS) — collected from hooks threaded
 // through the sim stack. The tree is folded, at request exit, into
 // ordinary log-bucket profiles (internal/core) under derived operation
-// names, so every downstream surface (envelopes, archive, diff,
-// identify, serve) consumes per-layer data with no format change:
+// names (core.DimLayer, core.DimCrit), so every downstream surface
+// (envelopes, archive, diff, identify, serve) consumes per-layer data
+// with no format change. Per layer, a request records:
 //
-//	read@fs         the request's self-time inside file-system code
-//	read@pagecache  time blocked waiting for a page to become uptodate
-//	read@driver     request queue wait (submit → disk head start)
-//	read@disk       mechanical service time (seek + rotation + transfer)
-//	read@net        time blocked on the simulated network
-//	read@vfs        VFS dispatch self-time
-//	read@crit:fs    the request's *inclusive* latency, recorded under
-//	                the layer holding the largest self-time share — the
-//	                critical-path attribution of that request
+//	fs         its self-time inside file-system code
+//	pagecache  time blocked waiting for a page to become uptodate
+//	driver     request queue wait (submit → disk head start)
+//	disk       mechanical service time (seek + rotation + transfer)
+//	net        time blocked on the simulated network
+//	vfs        VFS dispatch self-time
+//
+// and its *inclusive* latency goes to the critical-path profile of the
+// layer holding the largest self-time share.
 //
 // The decomposition is additive: a child span's inclusive time is
 // subtracted from its parent's self-time, and asynchronous disk
@@ -31,14 +32,13 @@
 package trace
 
 import (
-	"strings"
-
 	"osprof/internal/core"
 	"osprof/internal/load"
 	"osprof/internal/sim"
 )
 
-// Layer identifies one level of the simulated storage stack.
+// Layer identifies one level of the simulated storage stack, in the
+// order of core.DimLayer's values.
 type Layer uint8
 
 const (
@@ -51,19 +51,13 @@ const (
 	numLayers
 )
 
-var layerNames = [numLayers]string{"vfs", "fs", "pagecache", "driver", "disk", "net"}
-
 // String returns the layer's short name as used in op suffixes.
 func (l Layer) String() string {
-	if int(l) < len(layerNames) {
-		return layerNames[l]
+	if names := core.DimLayer.Values(); int(l) < len(names) {
+		return names[l]
 	}
 	return "layer?"
 }
-
-// LayerNames returns the layer names in stack order (vfs first). The
-// slice is shared; callers must not modify it.
-func LayerNames() []string { return layerNames[:] }
 
 // frame is one open span on a process's layer stack.
 type frame struct {
@@ -164,7 +158,7 @@ func (t *Tracer) BeginRoot(p *sim.Proc, op string) {
 
 // EndRoot closes the root span and folds the finished tree into the
 // profile set: one self-time sample per touched layer, plus the
-// request's inclusive latency under op@crit:<dominant layer>.
+// request's inclusive latency under the dominant layer's critical path.
 func (t *Tracer) EndRoot(p *sim.Proc) {
 	if t == nil || p.Daemon() {
 		return
@@ -204,7 +198,7 @@ func (t *Tracer) EndRoot(p *sim.Proc) {
 			continue
 		}
 		if h.layer[l] == nil {
-			h.layer[l] = t.set.Get(ps.op + "@" + layerNames[l])
+			h.layer[l] = t.set.Get(core.DimLayer.Op(ps.op, l.String()))
 		}
 		h.layer[l].Record(s)
 		// Ties break toward the lower (outer) layer: deterministic and
@@ -214,7 +208,7 @@ func (t *Tracer) EndRoot(p *sim.Proc) {
 		}
 	}
 	if h.crit[dominant] == nil {
-		h.crit[dominant] = t.set.Get(ps.op + "@crit:" + layerNames[dominant])
+		h.crit[dominant] = t.set.Get(core.DimCrit.Op(ps.op, dominant.String()))
 	}
 	h.crit[dominant].Record(incl)
 	ps.open = false
@@ -315,26 +309,4 @@ func (tok Token) Credit(queueWait, service uint64) {
 	if n := len(ps.stack); n > 0 {
 		ps.stack[n-1].child += queueWait + service
 	}
-}
-
-// SplitOp decomposes a derived operation name: "read@fs" yields
-// ("read", "fs", false), "read@crit:fs" yields ("read", "fs", true).
-// ok is false for ordinary (underived) operation names, which keeps
-// layered analysis from misreading user-defined ops containing no
-// marker.
-func SplitOp(op string) (base, layer string, crit, ok bool) {
-	i := strings.LastIndex(op, "@")
-	if i < 0 {
-		return op, "", false, false
-	}
-	base, layer = op[:i], op[i+1:]
-	if rest, isCrit := strings.CutPrefix(layer, "crit:"); isCrit {
-		return base, rest, true, true
-	}
-	for _, n := range layerNames {
-		if layer == n {
-			return base, layer, false, true
-		}
-	}
-	return op, "", false, false
 }

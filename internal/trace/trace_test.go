@@ -181,27 +181,6 @@ func TestNilTracerSafe(t *testing.T) {
 	})
 }
 
-func TestSplitOp(t *testing.T) {
-	cases := []struct {
-		op, base, layer string
-		crit, ok        bool
-	}{
-		{"read@fs", "read", "fs", false, true},
-		{"read@crit:disk", "read", "disk", true, true},
-		{"disk_read@driver", "disk_read", "driver", false, true},
-		{"read", "read", "", false, false},
-		{"read@bogus", "read@bogus", "", false, false}, // not a layer name
-		{"a@b@net", "a@b", "net", false, true},         // last marker wins
-	}
-	for _, c := range cases {
-		base, layer, crit, ok := trace.SplitOp(c.op)
-		if base != c.base || layer != c.layer || crit != c.crit || ok != c.ok {
-			t.Errorf("SplitOp(%q) = %q %q %v %v, want %q %q %v %v",
-				c.op, base, layer, crit, ok, c.base, c.layer, c.crit, c.ok)
-		}
-	}
-}
-
 // The span hot path — root open/close, layer enter/exit, token
 // capture and credit — is allocation-free once a request shape has
 // been seen, the same always-on budget the recorders hold.
