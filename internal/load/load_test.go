@@ -6,6 +6,61 @@ import (
 	"osprof/internal/core"
 )
 
+// Every band profile a handle creates is named so core.SplitOp reads
+// back the handle's operation and the band's name.
+func TestOpNameSplitOpRoundTrip(t *testing.T) {
+	set := core.NewSet("t")
+	h := NewRecorder(set).Handle("read")
+	for b := 0; b < core.LoadBands; b++ {
+		h.Record(b, 100)
+	}
+	if got := len(set.Ops()); got != core.LoadBands {
+		t.Fatalf("handle created %d profiles, want %d", got, core.LoadBands)
+	}
+	for b, name := range set.Ops() {
+		base, dim, band := core.SplitOp(name)
+		if base != "read" || dim != core.DimLoad || band != core.DimLoad.Values()[b] {
+			t.Errorf("SplitOp(%q) = %q, %d, %q", name, base, dim, band)
+		}
+	}
+}
+
+func TestSplitOpRejectsNonLoadOps(t *testing.T) {
+	for _, op := range []string{
+		"read",           // plain op
+		"read@vfs",       // layer-derived op
+		"read@crit:vfs",  // critical-path op
+		"read@load:",     // empty band
+		"read@load:vfs",  // not a band name
+		"read@load:0",    // not a band name
+		"read@load:1@x",  // suffix must be last
+		"read@load:2-4 ", // trailing junk
+	} {
+		if base, dim, band := core.SplitOp(op); dim == core.DimLoad {
+			t.Errorf("SplitOp(%q) accepted: base=%q band=%q", op, base, band)
+		}
+	}
+	// Only the LAST @load: marker counts, so a pathological base
+	// containing the marker still round-trips.
+	base, dim, band := core.SplitOp("read@load:1@load:5+")
+	if dim != core.DimLoad || base != "read@load:1" || band != "5+" {
+		t.Errorf("nested marker: base=%q band=%q dim=%d", base, band, dim)
+	}
+}
+
+func TestBandIndex(t *testing.T) {
+	for b, name := range core.DimLoad.Values() {
+		if got := core.DimLoad.Index(name); got != b {
+			t.Errorf("DimLoad.Index(%q) = %d, want %d", name, got, b)
+		}
+	}
+	for _, bad := range []string{"", "0", "2", "vfs", "5"} {
+		if got := core.DimLoad.Index(bad); got != -1 {
+			t.Errorf("DimLoad.Index(%q) = %d, want -1", bad, got)
+		}
+	}
+}
+
 func TestRecorderRecordsIntoBandProfiles(t *testing.T) {
 	set := core.NewSet("t")
 	r := NewRecorder(set)

@@ -181,6 +181,39 @@ func TestNilTracerSafe(t *testing.T) {
 	})
 }
 
+// The tracer files layer self-times and critical-path samples under
+// names core.SplitOp reads back as the same base, dimension and layer;
+// a suffix that names no layer stays part of the base.
+func TestSplitOp(t *testing.T) {
+	cases := []struct {
+		op, base, layer string
+		crit, ok        bool
+	}{
+		{"read@fs", "read", "fs", false, true},
+		{"read@crit:disk", "read", "disk", true, true},
+		{"disk_read@driver", "disk_read", "driver", false, true},
+		{"read", "read", "", false, false},
+		{"read@bogus", "read@bogus", "", false, false}, // not a layer name
+		{"a@b@net", "a@b", "net", false, true},         // last marker wins
+	}
+	for _, c := range cases {
+		base, dim, layer := core.SplitOp(c.op)
+		crit, ok := dim == core.DimCrit, dim != core.DimNone
+		if base != c.base || layer != c.layer || crit != c.crit || ok != c.ok {
+			t.Errorf("SplitOp(%q) = %q %q %v %v, want %q %q %v %v",
+				c.op, base, layer, crit, ok, c.base, c.layer, c.crit, c.ok)
+		}
+	}
+	for l := trace.LayerVFS; l <= trace.LayerNet; l++ {
+		for _, dim := range []core.Dim{core.DimLayer, core.DimCrit} {
+			op := dim.Op("read", l.String())
+			if base, d, layer := core.SplitOp(op); base != "read" || d != dim || layer != l.String() {
+				t.Errorf("SplitOp(%q) = %q %d %q, want read %d %q", op, base, d, layer, dim, l)
+			}
+		}
+	}
+}
+
 // The span hot path — root open/close, layer enter/exit, token
 // capture and credit — is allocation-free once a request shape has
 // been seen, the same always-on budget the recorders hold.
