@@ -288,7 +288,7 @@ func BenchmarkSelectorCompare(b *testing.B) {
 
 // simExecAllocsPerOp measures the marginal allocations of one Exec by
 // differencing a long run against a short one, which cancels the fixed
-// setup cost (kernel, goroutine, channels, event-pool warmup).
+// setup cost (kernel, process coroutine, event-pool warmup).
 func simExecAllocsPerOp(tickPeriod, execLen uint64, iters int) float64 {
 	run := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -307,7 +307,7 @@ func simExecAllocsPerOp(tickPeriod, execLen uint64, iters int) float64 {
 
 func TestSimExecInlineFastPathAllocationFree(t *testing.T) {
 	// Short slices between distant ticks: almost every Exec completes
-	// inline, with no event push and no channel round-trip.
+	// inline, with no event push and no coroutine switch.
 	if per := simExecAllocsPerOp(1<<20, 1_000, 20_000); per > 0.01 {
 		t.Errorf("inline Exec fast path allocates %.4f objects/op, want 0", per)
 	}
@@ -473,7 +473,7 @@ func BenchmarkSimExecInline(b *testing.B) {
 }
 
 // BenchmarkSimExecSlowPath measures one slow-path Exec (pending tick
-// forces the event heap and the kernel-loop handoff).
+// forces the event heap and the coroutine switch to the kernel loop).
 func BenchmarkSimExecSlowPath(b *testing.B) {
 	k := sim.New(sim.Config{TickPeriod: 2_048, TickCost: 100})
 	k.Spawn("w", func(p *sim.Proc) {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"osprof/internal/core"
@@ -115,15 +116,31 @@ func TestDriverLevelInstrumentation(t *testing.T) {
 	}
 }
 
-func TestReiserBackend(t *testing.T) {
-	st, err := RunSpec(Spec{
+func reiserSpec() Spec {
+	return Spec{
 		Name:       "t",
 		Kernel:     kernel1(5),
 		Backend:    Reiser,
 		Files:      []FileSpec{{Name: "a", Size: 4 * vfs.PageSize}},
 		Instrument: Instrument{Point: FSLevel},
 		Workloads:  []Workload{{Kind: Grep, Path: "/"}},
-	})
+	}
+}
+
+func cifsSpec() Spec {
+	return Spec{
+		Name:       "t",
+		Kernel:     sim.Config{NumCPUs: 2, ContextSwitch: 9_350, WakePreempt: true, Seed: 6},
+		Backend:    CIFS,
+		CachePages: 1 << 12,
+		Tree:       &workload.TreeSpec{Seed: 7, Dirs: 4},
+		Instrument: Instrument{Point: FSLevel},
+		Workloads:  []Workload{{Kind: Grep}},
+	}
+}
+
+func TestReiserBackend(t *testing.T) {
+	st, err := RunSpec(reiserSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +153,7 @@ func TestReiserBackend(t *testing.T) {
 }
 
 func TestCIFSBackend(t *testing.T) {
-	spec := Spec{
-		Name:       "t",
-		Kernel:     sim.Config{NumCPUs: 2, ContextSwitch: 9_350, WakePreempt: true, Seed: 6},
-		Backend:    CIFS,
-		CachePages: 1 << 12,
-		Tree:       &workload.TreeSpec{Seed: 7, Dirs: 4},
-		Instrument: Instrument{Point: FSLevel},
-		Workloads:  []Workload{{Kind: Grep}},
-	}
-	st, err := RunSpec(spec)
+	st, err := RunSpec(cifsSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +163,31 @@ func TestCIFSBackend(t *testing.T) {
 	// The client's wire operations record into the same sink.
 	if prof := st.Set.Lookup("FindFirst"); prof == nil || prof.Count == 0 {
 		t.Error("RPC profiles not captured")
+	}
+}
+
+// TestRunReclaimsDaemonCoroutines checks that a finished world leaves
+// no parked process behind: reiser's kupdate and the cifs server's
+// cifsd never return, and Run must unwind them so the world can be
+// collected.
+func TestRunReclaimsDaemonCoroutines(t *testing.T) {
+	reiser := reiserSpec()
+	reiser.SuperDaemon = true
+	for _, spec := range []Spec{reiser, cifsSpec()} {
+		// Goroutines other tests left exiting can only lower the count,
+		// so a leak shows as a count above the baseline.
+		base := runtime.NumGoroutine()
+		st, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n <= base {
+			t.Fatalf("%v: goroutines after Build = %d, want more than %d (one per process)", spec.Backend, n, base)
+		}
+		st.Run()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%v: goroutines after Run = %d, want at most %d", spec.Backend, n, base)
+		}
 	}
 }
 

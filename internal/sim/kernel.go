@@ -14,10 +14,10 @@
 // is known by construction, letting tests verify that profiles attribute
 // latency to the right internal activity.
 //
-// Simulated processes are goroutines, but the simulation is strictly
-// sequential: the kernel resumes exactly one process at a time and waits
-// for it to yield back before processing the next event, so results are
-// fully deterministic for a given seed.
+// Simulated processes are coroutines on the goroutine calling Kernel.Run:
+// the kernel resumes exactly one process at a time and runs it until it
+// yields back before processing the next event, so the simulation is
+// strictly sequential and fully deterministic for a given seed.
 package sim
 
 import (
@@ -187,14 +187,15 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	if k.stopped {
+		panic("sim: Spawn on a stopped kernel")
+	}
 	p := &Proc{
 		k:      k,
 		id:     len(k.procs),
 		name:   name,
 		daemon: daemon,
 		state:  stateNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	// Pre-bound callbacks: the slice-completion, wakeup and resume
 	// closures are created once per process, so scheduling them on the
@@ -206,15 +207,20 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	if !daemon {
 		k.live++
 	}
-	go p.top(fn)
+	p.start(fn)
 	k.makeRunnable(p)
 	return p
 }
 
 // Run processes events until every non-daemon process has finished.
 // It panics with a state dump if the simulation deadlocks (live
-// processes remain but nothing is runnable and no event is pending).
+// processes remain but nothing is runnable and no event is pending), or
+// with a process body's own panic. Either way the kernel is stopped.
 func (k *Kernel) Run() {
+	if k.stopped {
+		panic("sim: Run on a stopped kernel")
+	}
+	defer k.stop()
 	k.dispatch()
 	for k.live > 0 {
 		ev := k.popEvent()
@@ -231,7 +237,16 @@ func (k *Kernel) Run() {
 		k.freeEvent(ev)
 		k.dispatch()
 	}
+}
+
+// stop unwinds every parked process (daemons, and all after a panic) so
+// that no coroutine keeps the world reachable; Run and Spawn then panic.
+// An unwound body's deferred calls run, and must not use primitives.
+func (k *Kernel) stop() {
 	k.stopped = true
+	for _, p := range k.procs {
+		p.stop() // a no-op once the body has returned
+	}
 }
 
 // dump renders process states for deadlock diagnostics.
@@ -241,7 +256,7 @@ func (k *Kernel) dump() string {
 		k.now, k.live, k.runq.Len(), k.events.Len())
 	for _, p := range k.procs {
 		fmt.Fprintf(&b, "  proc %d %q state=%v daemon=%v block=%q\n",
-			p.id, p.name, p.state, p.daemon, p.blockReason)
+			p.id, p.name, p.state, p.daemon, p.blockKind+p.blockName)
 	}
 	return b.String()
 }
@@ -406,23 +421,21 @@ func (k *Kernel) releaseCPU(p *Proc) {
 	}
 }
 
-// resumeProc hands control to p's goroutine and waits for it to yield.
-// This is the only place simulated code runs; the strict handoff keeps
-// the simulation single-threaded and deterministic.
+// resumeProc switches to p's coroutine and runs it until it yields or
+// finishes. This is the only place simulated code runs; the strict
+// handoff keeps the simulation single-threaded and deterministic.
 func (k *Kernel) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-p.yield
-	if p.state == stateFinished && p.cleanupPending {
-		p.cleanupPending = false
-		k.releaseCPU(p)
-		if !p.daemon {
-			k.live--
-		}
-		for _, w := range p.waiters {
-			k.makeRunnable(w)
-		}
-		p.waiters = nil
+	if _, parked := p.next(); parked {
+		return
 	}
+	k.releaseCPU(p)
+	if !p.daemon {
+		k.live--
+	}
+	for _, w := range p.waiters {
+		k.makeRunnable(w)
+	}
+	p.waiters = nil
 }
 
 // Wake makes a blocked process runnable. It is the completion half of
@@ -438,14 +451,9 @@ func (k *Kernel) Wake(p *Proc) {
 		// run queue and, if no CPU is idle, evicts a running process.
 		// Without the boost a woken lock holder can sit runnable
 		// behind ordinary queued processes — a lock convoy.
-		k.moveToFront(p)
+		k.runq.MoveToFront(p)
 		k.wakePreempt()
 	}
-}
-
-// moveToFront hoists p to the head of the run queue.
-func (k *Kernel) moveToFront(p *Proc) {
-	k.runq.MoveToFront(p)
 }
 
 // wakePreempt evicts the longest-running preemptible process when a

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -394,5 +395,78 @@ func TestManyProcsStress(t *testing.T) {
 	k.Run()
 	if total != 32 {
 		t.Errorf("finished procs = %d, want 32", total)
+	}
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(quiet(1))
+	k.SpawnDaemon("flusher", func(p *Proc) {
+		for {
+			p.Sleep(1_000)
+		}
+	})
+	k.Spawn("bad", func(p *Proc) {
+		p.Exec(100)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("Run panicked with %v, want the process's \"boom\"", r)
+			}
+		}()
+		k.Run()
+	}()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("goroutines after the panic = %d, want %d (parked daemon not reclaimed)", n, base)
+	}
+}
+
+func TestRunReclaimsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(quiet(1))
+	unwound := 0
+	for _, name := range []string{"sleeper", "blocked"} {
+		k.SpawnDaemon(name, func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				if name == "sleeper" {
+					p.Sleep(1_000)
+				} else {
+					p.Block("never-woken")
+				}
+			}
+		})
+	}
+	k.Spawn("w", func(p *Proc) { p.Exec(10_000) })
+	if n := runtime.NumGoroutine(); n != base+3 {
+		t.Fatalf("goroutines after Spawn = %d, want %d (one coroutine per process)", n, base+3)
+	}
+	k.Run()
+	if unwound != 2 {
+		t.Errorf("unwound daemon bodies = %d, want 2", unwound)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("goroutines after Run = %d, want %d", n, base)
+	}
+}
+
+func TestStoppedKernelPanics(t *testing.T) {
+	k := New(quiet(1))
+	k.Spawn("w", func(p *Proc) { p.Exec(100) })
+	k.Run()
+	for name, f := range map[string]func(){
+		"Run":   k.Run,
+		"Spawn": func() { k.Spawn("late", func(p *Proc) {}) },
+	} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "stopped kernel") {
+					t.Errorf("%s after Run: panic %q, want a stopped-kernel panic", name, r)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -14,27 +14,19 @@ const (
 	stateFinished
 )
 
+var stateNames = [...]string{"new", "runnable", "running", "blocked", "spinning", "finished"}
+
 func (s procState) String() string {
-	switch s {
-	case stateNew:
-		return "new"
-	case stateRunnable:
-		return "runnable"
-	case stateRunning:
-		return "running"
-	case stateBlocked:
-		return "blocked"
-	case stateSpinning:
-		return "spinning"
-	case stateFinished:
-		return "finished"
+	if uint(s) < uint(len(stateNames)) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("procState(%d)", int(s))
 }
 
-// Proc is a simulated process. Its body runs in a goroutine, but only
-// while the kernel has explicitly handed it control; every simulation
-// primitive (Exec, Sleep, semaphores, I/O) yields back to the kernel.
+// Proc is a simulated process. Its body runs as a coroutine on the
+// kernel's goroutine, only while the kernel has resumed it; every
+// simulation primitive (Exec, Sleep, semaphores, I/O) yields back to
+// the kernel.
 //
 // Code between primitive calls takes zero simulated time: only Exec
 // advances the process's CPU clock. This mirrors how the paper thinks
@@ -46,12 +38,17 @@ type Proc struct {
 	name   string
 	daemon bool
 
-	state       procState
-	cpu         *cpu
-	lastCPU     int
-	resume      chan struct{}
-	yield       chan struct{}
-	blockReason string
+	state   procState
+	cpu     *cpu
+	lastCPU int
+
+	next  func() (struct{}, bool) // coroutine handles; see coro.go
+	yield func(struct{}) bool
+	stop  func()
+
+	// The blocking reason, shown joined in deadlock dumps. Lock paths
+	// store prefix and object name apart so they never concatenate.
+	blockKind, blockName string
 
 	// Pre-bound callbacks, created once at spawn so that the hot
 	// scheduling paths never allocate a closure (see Kernel.spawn).
@@ -67,7 +64,7 @@ type Proc struct {
 	sliceEvent    *event
 	cpuAcquired   uint64 // when this CPU assignment began (quantum base)
 	runnableAt    uint64
-	blockedAt     uint64
+	blockedAt     uint64 // when it blocked, or began spinning
 	wasPreempted  bool
 
 	// per-process accounting
@@ -80,8 +77,7 @@ type Proc struct {
 	preemptions     uint64
 	contextSwitches uint64
 
-	waiters        []*Proc
-	cleanupPending bool
+	waiters []*Proc
 }
 
 // ProcStats is a snapshot of per-process accounting.
@@ -134,20 +130,28 @@ func (p *Proc) Preempted() bool {
 	return was
 }
 
-// top is the goroutine entry point wrapping the process body.
-func (p *Proc) top(fn func(p *Proc)) {
-	<-p.resume // wait for first dispatch
+// reclaimed is the panic that unwinds a parked body when its kernel
+// stops; top recovers it and nothing else.
+type reclaimed struct{}
+
+// top is the coroutine body: it runs fn and marks the process finished.
+// A panic from fn propagates out of the kernel's resumeProc.
+func (p *Proc) top(fn func(p *Proc), yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != (reclaimed{}) {
+			panic(r)
+		}
+	}()
 	fn(p)
 	p.state = stateFinished
-	p.cleanupPending = true
-	p.yield <- struct{}{}
 }
 
-// yieldToKernel returns control to the kernel loop and blocks until the
-// kernel resumes this process.
+// yieldToKernel suspends the process until the kernel resumes it.
 func (p *Proc) yieldToKernel() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(reclaimed{})
+	}
 }
 
 // ReadTSC returns the per-CPU cycle counter, including the configured
@@ -196,14 +200,8 @@ func (p *Proc) ExecUser(n uint64) { p.exec(n, true) }
 
 func (p *Proc) exec(n uint64, user bool) {
 	if p.cpu == nil {
-		// Defensive: the process somehow lost its CPU; queue for one.
-		p.execRemaining = n
-		p.execUser = user
-		p.state = stateNew
-		p.k.makeRunnable(p)
-		p.k.dispatchLater()
-		p.yieldToKernel()
-		return
+		// Process code runs only when resumed on a CPU.
+		panic("sim: " + p.name + " executes without a CPU")
 	}
 	k := p.k
 	if p.sliceEvent == nil && (k.runq.Len() == 0 || k.idleCPU() == nil) {
@@ -213,7 +211,7 @@ func (p *Proc) exec(n uint64, user bool) {
 		// no preemption or interrupt is possible and no other process
 		// can touch the run queue. Advance the clock and account the
 		// work right here, skipping both the event-heap push and the
-		// resume/yield channel round-trip through the kernel loop.
+		// coroutine switch through the kernel loop.
 		// (Strictly before: at equal times the pending event has the
 		// smaller sequence number and would fire first.)
 		//
@@ -240,9 +238,7 @@ func (p *Proc) exec(n uint64, user bool) {
 	}
 	p.execRemaining = n
 	p.execUser = user
-	if p.sliceEvent != nil {
-		p.k.cancelEvent(p.sliceEvent)
-	}
+	p.k.cancelEvent(p.sliceEvent)
 	p.k.startSlice(p)
 	p.yieldToKernel()
 }
@@ -250,40 +246,33 @@ func (p *Proc) exec(n uint64, user bool) {
 // Sleep blocks the process for n cycles of wall time without consuming
 // CPU (e.g., a daemon's periodic timer).
 func (p *Proc) Sleep(n uint64) {
-	k := p.k
-	p.beginBlock("sleep")
-	k.schedule(k.now+n, p.wakeFn)
-	p.yieldToKernel()
+	p.k.schedule(p.k.now+n, p.wakeFn)
+	p.block("sleep", "")
 }
 
 // Block parks the process until another component calls Kernel.Wake.
 // reason is reported in deadlock dumps.
-func (p *Proc) Block(reason string) {
-	p.beginBlock(reason)
-	p.yieldToKernel()
-}
+func (p *Proc) Block(reason string) { p.block(reason, "") }
 
-// beginBlock releases the CPU and marks the process blocked.
-func (p *Proc) beginBlock(reason string) {
+// block releases the CPU and parks the process until a Wake. Deadlock
+// dumps report it as blocked on kind+name.
+func (p *Proc) block(kind, name string) {
 	k := p.k
-	if p.sliceEvent != nil {
-		k.cancelEvent(p.sliceEvent)
-		p.sliceEvent = nil
-	}
+	k.cancelEvent(p.sliceEvent)
+	p.sliceEvent = nil
 	k.releaseCPU(p)
 	p.state = stateBlocked
 	p.blockedAt = k.now
-	p.blockReason = reason
+	p.blockKind, p.blockName = kind, name
+	p.yieldToKernel()
 }
 
 // YieldCPU voluntarily gives up the CPU, going to the back of the run
 // queue (sched_yield).
 func (p *Proc) YieldCPU() {
 	k := p.k
-	if p.sliceEvent != nil {
-		k.cancelEvent(p.sliceEvent)
-		p.sliceEvent = nil
-	}
+	k.cancelEvent(p.sliceEvent)
+	p.sliceEvent = nil
 	k.releaseCPU(p)
 	p.state = stateNew // force requeue in makeRunnable
 	k.makeRunnable(p)
@@ -297,8 +286,7 @@ func (p *Proc) WaitFor(other *Proc) {
 		return
 	}
 	other.waiters = append(other.waiters, p)
-	p.beginBlock("waitfor:" + other.name)
-	p.yieldToKernel()
+	p.block("waitfor:", other.name)
 }
 
 // noop is the shared empty callback for dispatchLater; the kernel loop

@@ -1,10 +1,9 @@
 package sim
 
 // procRing is the run queue: a FIFO of runnable processes backed by a
-// power-of-two ring buffer. The previous implementation was a plain
-// slice whose every pop copy-shifted the remaining elements; the ring
-// makes push/pop O(1) without allocating, and moveToFront (the wakeup
-// sleeper boost) shifts only the logical prefix it hoists over.
+// power-of-two ring buffer, so push/pop are O(1) without allocating and
+// MoveToFront (the wakeup sleeper boost) shifts only the logical prefix
+// it hoists over.
 type procRing struct {
 	buf  []*Proc
 	head int // index of the logical front

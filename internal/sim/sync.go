@@ -63,7 +63,7 @@ func (s *Semaphore) Down(p *Proc) {
 	s.stats.Contentions++
 	start := s.k.now
 	s.waiters = append(s.waiters, p)
-	p.Block("sem:" + s.name)
+	p.block("sem:", s.name)
 	s.stats.TotalWait += s.k.now - start
 	// Ownership was transferred to us by Up before the wake.
 }
@@ -114,7 +114,6 @@ type SpinLock struct {
 	held     bool
 	owner    *Proc
 	spinners []*Proc
-	spinFrom map[*Proc]uint64
 	stats    SpinStats
 
 	// OpCost is the CPU cost of an uncontended lock or unlock.
@@ -123,12 +122,7 @@ type SpinLock struct {
 
 // NewSpinLock creates a named spinlock on kernel k.
 func NewSpinLock(k *Kernel, name string) *SpinLock {
-	return &SpinLock{
-		k:        k,
-		name:     name,
-		spinFrom: make(map[*Proc]uint64),
-		OpCost:   defaultSpinOpCost,
-	}
+	return &SpinLock{k: k, name: name, OpCost: defaultSpinOpCost}
 }
 
 // Stats returns usage counters.
@@ -148,9 +142,9 @@ func (l *SpinLock) Lock(p *Proc) {
 	}
 	l.stats.Contentions++
 	l.spinners = append(l.spinners, p)
-	l.spinFrom[p] = l.k.now
+	p.blockedAt = l.k.now
 	p.state = stateSpinning // CPU stays occupied by the spinner
-	p.blockReason = "spin:" + l.name
+	p.blockKind, p.blockName = "spin:", l.name
 	p.yieldToKernel()
 }
 
@@ -168,8 +162,7 @@ func (l *SpinLock) Unlock(p *Proc) {
 	next := l.spinners[0]
 	copy(l.spinners, l.spinners[1:])
 	l.spinners = l.spinners[:len(l.spinners)-1]
-	spin := l.k.now - l.spinFrom[next]
-	delete(l.spinFrom, next)
+	spin := l.k.now - next.blockedAt
 	next.sysCPU += spin
 	next.spinTime += spin
 	l.stats.TotalSpin += spin
@@ -195,7 +188,7 @@ func NewWaitQueue(k *Kernel, name string) *WaitQueue {
 // Wait parks the calling process until WakeOne or WakeAll releases it.
 func (w *WaitQueue) Wait(p *Proc) {
 	w.waiters = append(w.waiters, p)
-	p.Block("waitq:" + w.name)
+	p.block("waitq:", w.name)
 }
 
 // WakeAll wakes every parked process (in FIFO order).

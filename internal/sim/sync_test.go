@@ -238,3 +238,64 @@ func TestSemaphoreContentionLatencyScale(t *testing.T) {
 			contended, uncontended)
 	}
 }
+
+func TestSemaphoreContendedHandoffAllocationFree(t *testing.T) {
+	// Two processes on two CPUs ping-pong a semaphore: after the first
+	// round every Down blocks and every Up hands ownership over, so the
+	// marginal rounds exercise only the contended block/wake path.
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			k := New(quiet(2))
+			sem := NewSemaphore(k, "i_sem")
+			for i := 0; i < 2; i++ {
+				k.Spawn("w", func(p *Proc) {
+					for j := 0; j < rounds; j++ {
+						sem.Down(p)
+						p.Exec(1_000)
+						sem.Up(p)
+					}
+				})
+			}
+			k.Run()
+			if c := sem.Stats().Contentions; c < uint64(2*rounds-1) {
+				t.Fatalf("contentions = %d over %d rounds, want every Down after the first contended", c, rounds)
+			}
+		})
+	}
+	const rounds = 5_000
+	if per := (run(100+rounds) - run(100)) / rounds; per > 0.01 {
+		t.Errorf("contended Down/Up allocates %.4f objects/round, want 0", per)
+	}
+}
+
+func TestDeadlockDumpNamesBlockReasons(t *testing.T) {
+	k := New(quiet(2))
+	sem := NewSemaphore(k, "i_sem")
+	spin := NewSpinLock(k, "dcache_lock")
+	wq := NewWaitQueue(k, "page")
+	holder := k.Spawn("holder", func(p *Proc) {
+		sem.Down(p)
+		spin.Lock(p)
+		p.Block("never-woken")
+	})
+	k.Spawn("sem", func(p *Proc) { p.Exec(10); sem.Down(p) })
+	k.Spawn("spin", func(p *Proc) { p.Exec(20); spin.Lock(p) })
+	k.Spawn("waitq", func(p *Proc) { wq.Wait(p) })
+	k.Spawn("join", func(p *Proc) { p.WaitFor(holder) })
+	k.SpawnDaemon("flusher", func(p *Proc) { p.Block("idle") })
+	defer func() {
+		const want = `sim: deadlock
+t=530 live=5 runq=0 events=0
+  proc 0 "holder" state=blocked daemon=false block="never-woken"
+  proc 1 "sem" state=blocked daemon=false block="sem:i_sem"
+  proc 2 "spin" state=spinning daemon=false block="spin:dcache_lock"
+  proc 3 "waitq" state=blocked daemon=false block="waitq:page"
+  proc 4 "join" state=blocked daemon=false block="waitfor:holder"
+  proc 5 "flusher" state=blocked daemon=true block="idle"
+`
+		if got, _ := recover().(string); got != want {
+			t.Errorf("deadlock dump:\n%s\nwant:\n%s", got, want)
+		}
+	}()
+	k.Run()
+}
