@@ -323,6 +323,26 @@ func TestSimStartSliceSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+func TestSimTimerTickAllocationFree(t *testing.T) {
+	// One long Exec taken by a tick every period, with a second process
+	// runnable behind it so each tick also walks the preemption check.
+	// A busy tick moves the interrupted slice's event in place; it must
+	// not push a new event or leave a canceled one behind per tick.
+	const period = 2_048
+	run := func(ticks int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			k := sim.New(sim.Config{TickPeriod: period, TickCost: 100})
+			k.Spawn("long", func(p *sim.Proc) { p.Exec(uint64(ticks) * period) })
+			k.Spawn("waiting", func(p *sim.Proc) { p.Exec(1) })
+			k.Run()
+		})
+	}
+	const ticks = 20_000
+	if per := (run(100+ticks) - run(100)) / ticks; per > 0.01 {
+		t.Errorf("busy timer tick allocates %.4f objects/tick, want 0", per)
+	}
+}
+
 func TestScoreMethodsAllocationFree(t *testing.T) {
 	x, y := benchProfilePair()
 	for _, m := range analysis.Methods {

@@ -2,11 +2,13 @@ package sim_test
 
 // Determinism regression test: the simulator must produce bit-identical
 // results for a fixed seed, run after run, and those results must not
-// drift as the engine is optimized. The golden values below were
-// captured from the straightforward pre-optimization implementation
-// (heap-allocated events, closure-per-slice, copy-shift run queue, a
-// channel round-trip per Exec); any fast path that changes them has
-// changed simulation semantics, not just speed.
+// drift as the engine is optimized. Each world's golden values were
+// captured before the optimizations they guard: the first world's from
+// the straightforward implementation (heap-allocated events,
+// closure-per-slice, copy-shift run queue, a channel round-trip per
+// Exec), the tick world's from the kernel that fired every tick. Any
+// fast path that changes them has changed simulation semantics, not
+// just speed.
 
 import (
 	"bytes"
@@ -90,16 +92,6 @@ func determinismWorkload() (*core.Set, sim.Stats) {
 	return set, k.Stats()
 }
 
-// Goldens captured from the pre-refactor simulator (seed 0xD5EED).
-const (
-	goldenSetSHA256    = "bbe787f6685d30384de6901281838e93d593ab08d6796758368af3dcc22b5a5f"
-	goldenCtxSwitches  = 1303
-	goldenPreemptions  = 597
-	goldenTimerTicks   = 242
-	goldenTotalOps     = 3275
-	goldenTotalLatency = 44899215
-)
-
 func marshalSet(t *testing.T, s *core.Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -125,26 +117,139 @@ func TestDeterminismSameSeedIdenticalRuns(t *testing.T) {
 	}
 }
 
+// Goldens captured from the pre-refactor simulator (seed 0xD5EED).
 func TestDeterminismMatchesPreRefactorGolden(t *testing.T) {
 	set, stats := determinismWorkload()
+	checkGolden(t, set, stats, golden{
+		setSHA256:    "bbe787f6685d30384de6901281838e93d593ab08d6796758368af3dcc22b5a5f",
+		ctxSwitches:  1303,
+		preemptions:  597,
+		timerTicks:   242,
+		totalOps:     3275,
+		totalLatency: 44899215,
+	})
+}
 
-	if got := stats.ContextSwitches; got != goldenCtxSwitches {
-		t.Errorf("ContextSwitches = %d, golden %d", got, goldenCtxSwitches)
-	}
-	if got := stats.Preemptions; got != goldenPreemptions {
-		t.Errorf("Preemptions = %d, golden %d", got, goldenPreemptions)
-	}
-	if got := stats.TimerTicks; got != goldenTimerTicks {
-		t.Errorf("TimerTicks = %d, golden %d", got, goldenTimerTicks)
-	}
-	if got := set.TotalOps(); got != goldenTotalOps {
-		t.Errorf("TotalOps = %d, golden %d", got, goldenTotalOps)
-	}
-	if got := set.TotalLatency(); got != goldenTotalLatency {
-		t.Errorf("TotalLatency = %d, golden %d", got, goldenTotalLatency)
-	}
+// golden is one world's expected statistics and profile digest.
+type golden struct {
+	setSHA256                            string
+	ctxSwitches, preemptions, timerTicks uint64
+	totalOps, totalLatency               uint64
+}
+
+func checkGolden(t *testing.T, set *core.Set, stats sim.Stats, want golden) {
+	t.Helper()
 	sum := sha256.Sum256(marshalSet(t, set))
-	if got := hex.EncodeToString(sum[:]); got != goldenSetSHA256 {
-		t.Errorf("marshaled set sha256 = %s, golden %s", got, goldenSetSHA256)
+	got := golden{
+		setSHA256:    hex.EncodeToString(sum[:]),
+		ctxSwitches:  stats.ContextSwitches,
+		preemptions:  stats.Preemptions,
+		timerTicks:   stats.TimerTicks,
+		totalOps:     set.TotalOps(),
+		totalLatency: set.TotalLatency(),
 	}
+	if got != want {
+		t.Errorf("world drifted from its golden:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// tickWorkload is a second world, aimed at the timer interrupt rather
+// than at lock contention. Every process regularly parks on a
+// completion many tick periods ahead, so both CPUs idle through long
+// stretches; some completions land exactly on a tick instant; the
+// user-mode hog takes busy ticks that preempt it once its quantum is
+// spent, while kernel-mode slices take busy ticks that never preempt.
+// The spinlock holder ends each critical section exactly on a tick
+// instant: the tick before re-keys its slice by tickCost onto the
+// next tick, which is scheduled after the slice and so fires just
+// after the handoff, finding the spinner Running with no slice until
+// its resume event fires.
+func tickWorkload() (*core.Set, sim.Stats) {
+	const (
+		period   = 1 << 12
+		tickCost = 300
+	)
+	k := sim.New(sim.Config{
+		NumCPUs:       2,
+		Quantum:       4 * period,
+		TickPeriod:    period,
+		TickCost:      tickCost,
+		ContextSwitch: 700,
+		Seed:          0x71C4,
+	})
+	set := core.NewSet("ticks")
+	spin := sim.NewSpinLock(k, "handoff")
+	spin.OpCost = 0 // Unlock hands over at the instant the holder's Exec ends
+	rng := k.Rand()
+
+	// await parks p on a completion delay cycles from now; aligned
+	// pushes the completion onto the next tick instant after it.
+	await := func(p *sim.Proc, op string, delay uint64, aligned bool) {
+		if aligned {
+			delay += period - (k.Now()+delay)%period
+		}
+		start := p.ReadTSC()
+		k.Schedule(delay, func() { k.Wake(p) })
+		p.Block(op)
+		set.Record(op, p.ReadTSC()-start)
+	}
+	far := func() uint64 { return uint64(rng.Int63n(48)+8)*period + uint64(rng.Int63n(period)) }
+
+	k.Spawn("holder", func(p *sim.Proc) {
+		for i := 0; i < 300; i++ {
+			start := p.ReadTSC()
+			spin.Lock(p)
+			now := k.Now()
+			p.Exec(now/period*period + 2*period - now - tickCost)
+			spin.Unlock(p)
+			set.Record("handoff", p.ReadTSC()-start)
+			p.Exec(uint64(rng.Int63n(2_000)) + 100)
+			if i%8 == 7 {
+				await(p, "io_far", far(), i%16 == 15)
+			}
+		}
+	})
+	k.Spawn("spinner", func(p *sim.Proc) {
+		for i := 0; i < 300; i++ {
+			p.Exec(uint64(rng.Int63n(1_500)) + 50)
+			start := p.ReadTSC()
+			spin.Lock(p)
+			p.Exec(uint64(rng.Int63n(400)) + 20)
+			spin.Unlock(p)
+			set.Record("spin", p.ReadTSC()-start)
+			if i%8 == 3 {
+				await(p, "io_far", far(), i%16 == 11)
+			}
+		}
+	})
+	k.Spawn("hog", func(p *sim.Proc) {
+		for i := 0; i < 60; i++ {
+			start := p.ReadTSC()
+			p.ExecUser(uint64(rng.Int63n(6*period)) + 2*period)
+			set.Record("user", p.ReadTSC()-start)
+			await(p, "io_far", far(), i%3 == 0)
+		}
+	})
+	k.Spawn("io", func(p *sim.Proc) {
+		for i := 0; i < 200; i++ {
+			p.Exec(uint64(rng.Int63n(3_000)) + 200)
+			await(p, "io_near", uint64(rng.Int63n(3*period)), i%4 == 0)
+		}
+	})
+	k.Run()
+	return set, k.Stats()
+}
+
+// Goldens captured from the kernel that fired every idle tick one by
+// one and re-armed every interrupted slice with a fresh event.
+func TestDeterminismTickWorldMatchesGolden(t *testing.T) {
+	set, stats := tickWorkload()
+	checkGolden(t, set, stats, golden{
+		setSHA256:    "227164a00cd0ef7ce143349e7ef61c931ff288be32ca6762cd13109f88d094e2",
+		ctxSwitches:  345,
+		preemptions:  6,
+		timerTicks:   2430,
+		totalOps:     995,
+		totalLatency: 24330459,
+	})
 }

@@ -8,14 +8,16 @@ package sim
 // one event per execution slice, so recycling them (together with the
 // pre-bound callbacks in Proc) makes the steady-state scheduling path
 // allocation-free. An event returns to the pool after its callback runs
-// or when it is popped in the canceled state; holders (Proc.sliceEvent,
-// Kernel.tickEvent) must clear or reassign their pointer before the
-// event fires or is discarded, which every call site does.
+// or when it is popped in the canceled state. The only holder of a
+// pending event is Proc.sliceEvent, which every call site clears or
+// reassigns before the event fires or is discarded; nothing holds the
+// timer tick's event, which is never canceled or moved.
 type event struct {
 	when     uint64
 	seq      uint64
 	fn       func()
 	canceled bool
+	idx      int // position in the heap while pending; see reschedule
 }
 
 // eventHeap is a binary min-heap ordered by (when, seq). The sift
@@ -32,13 +34,18 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
+func (h eventHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h.swap(i, parent)
 		i = parent
 	}
 }
@@ -57,14 +64,15 @@ func (h eventHeap) down(i int) {
 		if !h.less(child, i) {
 			break
 		}
-		h[i], h[child] = h[child], h[i]
+		h.swap(i, child)
 		i = child
 	}
 }
 
 func (h *eventHeap) push(ev *event) {
+	ev.idx = len(*h)
 	*h = append(*h, ev)
-	h.up(len(*h) - 1)
+	h.up(ev.idx)
 }
 
 func (h *eventHeap) pop() *event {
@@ -72,6 +80,7 @@ func (h *eventHeap) pop() *event {
 	n := len(old)
 	ev := old[0]
 	old[0] = old[n-1]
+	old[0].idx = 0
 	old[n-1] = nil
 	*h = old[:n-1]
 	h.down(0)
@@ -109,6 +118,17 @@ func (k *Kernel) schedule(when uint64, fn func()) *event {
 	ev.when, ev.seq, ev.fn = when, k.seq, fn
 	k.events.push(ev)
 	return ev
+}
+
+// reschedule moves the pending event ev later, to when, in place: it
+// takes a fresh seq exactly as if ev had been canceled and scheduled
+// anew, but leaves no canceled event behind. The key (when, seq) only
+// grows, so one sift down restores the heap; when must not be earlier
+// than ev's current time.
+func (k *Kernel) reschedule(ev *event, when uint64) {
+	k.seq++
+	ev.when, ev.seq = when, k.seq
+	k.events.down(ev.idx)
 }
 
 // cancelEvent marks an event so it will be skipped (and recycled) when

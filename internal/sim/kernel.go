@@ -113,8 +113,7 @@ type Kernel struct {
 	// periodic reschedule does not allocate a method value per tick.
 	tickFn func()
 
-	tickEvent *event
-	stopped   bool
+	stopped bool
 
 	// Load-occupancy accounting (see load.go). loadCur mirrors Load()
 	// incrementally so the tracking hot path never scans the CPUs.
@@ -149,7 +148,7 @@ func New(cfg Config) *Kernel {
 	}
 	k.tickFn = k.timerTick
 	if cfg.TickPeriod > 0 {
-		k.tickEvent = k.schedule(cfg.TickPeriod, k.tickFn)
+		k.schedule(cfg.TickPeriod, k.tickFn)
 	}
 	return k
 }
@@ -231,9 +230,9 @@ func (k *Kernel) Run() {
 			k.now = ev.when
 		}
 		ev.fn()
-		// Safe to recycle: by convention every holder of a pending
-		// event pointer (sliceEvent, tickEvent) clears or reassigns it
-		// inside the callback, before it returns here.
+		// Safe to recycle: by convention the only holder of a pending
+		// event pointer (Proc.sliceEvent) clears or reassigns it inside
+		// the callback, before it returns here.
 		k.freeEvent(ev)
 		k.dispatch()
 	}
@@ -354,30 +353,60 @@ func (k *Kernel) sliceDone(p *Proc) {
 // timerTick models the periodic timer interrupt: each CPU's interrupt
 // handler steals TickCost cycles from whatever process is running, and
 // the scheduler preempts processes that exhausted their quantum.
+//
+// The interrupt costs something only when it interrupts a slice. A tick
+// that finds none (tickless idle, the simulator's NO_HZ) changed
+// nothing but the tick counter, and nothing can change before the next
+// pending event fires, since process code runs only inside event
+// callbacks. So the ticks up to that event are counted, not fired: the
+// next tick is armed at the first tick instant at or after the event.
+// Every pending event was scheduled before the skipped chain would have
+// been, so the tick's fresh seq sorts after them at equal times, just
+// where the chain would have put it.
 func (k *Kernel) timerTick() {
 	k.stats.TimerTicks++
+	busy := false
 	for _, c := range k.cpus {
 		p := c.p
 		if p == nil || p.state != stateRunning {
 			continue
 		}
 		if p.sliceEvent == nil {
-			// Process is on CPU but between primitives (zero-time
-			// Go code); the handler cost is charged when it next
-			// executes. Rare; skip for simplicity.
+			// A spinner that SpinLock.Unlock just handed the lock to is
+			// Running with no slice until its resume event, scheduled at
+			// this same instant, fires. It has no work in flight for the
+			// handler to stretch, so the tick charges it nothing and is
+			// not busy on its account; the pending resume keeps the
+			// next tick one period out.
 			continue
 		}
+		busy = true
 		k.consumeSlice(p)
 		p.overhead += k.cfg.TickCost
 		p.interruptTime += k.cfg.TickCost
-		k.cancelEvent(p.sliceEvent)
 		if k.shouldPreempt(p) {
+			k.cancelEvent(p.sliceEvent)
 			k.preempt(p)
 			continue
 		}
-		k.startSlice(p)
+		// The slice end only moves later, by TickCost.
+		k.reschedule(p.sliceEvent, k.now+p.overhead+p.execRemaining)
 	}
-	k.tickEvent = k.schedule(k.now+k.cfg.TickPeriod, k.tickFn)
+	next := k.now + k.cfg.TickPeriod
+	if !busy {
+		w, ok := k.peekTime()
+		if !ok {
+			// Nothing runs and nothing is pending: no event can ever
+			// fire again. Arm no tick, so Run reports the deadlock.
+			return
+		}
+		if w > next {
+			m := (w - next + k.cfg.TickPeriod - 1) / k.cfg.TickPeriod
+			k.stats.TimerTicks += m
+			next += m * k.cfg.TickPeriod
+		}
+	}
+	k.schedule(next, k.tickFn)
 }
 
 // shouldPreempt reports whether the quantum of p expired and the kernel

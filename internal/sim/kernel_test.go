@@ -470,3 +470,69 @@ func TestStoppedKernelPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestTickedDeadlockPanics(t *testing.T) {
+	k := New(Config{NumCPUs: 1, TickPeriod: 10_000})
+	k.Spawn("stuck", func(p *Proc) {
+		p.Exec(50)
+		p.Block("forever")
+	})
+	defer func() {
+		const want = `sim: deadlock
+t=10000 live=1 runq=0 events=0
+  proc 0 "stuck" state=blocked daemon=false block="forever"
+`
+		if got, _ := recover().(string); got != want {
+			t.Errorf("deadlock dump:\n%s\nwant:\n%s", got, want)
+		}
+	}()
+	k.Run()
+}
+
+// Idle ticks are counted up to the next pending event, not fired one
+// by one: a 2^50-cycle sleep would otherwise take 2^38 tick events. The
+// machine has one CPU, ticks at every multiple of 4096, a 100-cycle
+// context switch and a 10-cycle handler; the stats for the cases short
+// enough to fire tick by tick were taken from the kernel that did.
+func TestIdleTicksAreCountedNotSimulated(t *testing.T) {
+	const period = 4096
+	for _, tc := range []struct {
+		name        string
+		sleep, exec uint64
+		end         uint64
+		want        Stats
+	}{
+		// The sleep starts after the first context switch (t=100) and
+		// the second one ends the world at sleep+200; every tick up to
+		// and including t=sleep fired while nothing ran.
+		{"sleep 2^20", 1 << 20, 0, 1<<20 + 200,
+			Stats{ContextSwitches: 2, TimerTicks: 1 << 8}},
+		{"sleep 2^50", 1 << 50, 0, 1<<50 + 200,
+			Stats{ContextSwitches: 2, TimerTicks: 1 << 38}},
+		// The wake lands on the tick at 10P, ahead of it: the tick then
+		// interrupts the fresh context-switch slice and is counted.
+		{"wake on tick", 10*period - 100, 0, 10*period + 110,
+			Stats{ContextSwitches: 2, TimerTicks: 10}},
+		// The exec slice spans the tick at 11P, which moves its end by
+		// the handler cost exactly onto 12P. The slice was re-keyed
+		// before the tick at 12P was scheduled, so it completes first
+		// and ends the world: that tick never fires.
+		{"completion ends world on tick", 10*period + 900, 2*period - 1110, 12 * period,
+			Stats{ContextSwitches: 2, TimerTicks: 11}},
+	} {
+		k := New(Config{NumCPUs: 1, ContextSwitch: 100, TickPeriod: period, TickCost: 10})
+		k.Spawn("w", func(p *Proc) {
+			p.Sleep(tc.sleep)
+			if tc.exec > 0 {
+				p.Exec(tc.exec)
+			}
+		})
+		k.Run()
+		if got := k.Stats(); got != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, got, tc.want)
+		}
+		if got := k.Now(); got != tc.end {
+			t.Errorf("%s: world ended at %d, want %d", tc.name, got, tc.end)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSemaphoreUncontended(t *testing.T) {
 	k := New(quiet(1))
@@ -295,6 +298,37 @@ t=530 live=5 runq=0 events=0
 `
 		if got, _ := recover().(string); got != want {
 			t.Errorf("deadlock dump:\n%s\nwant:\n%s", got, want)
+		}
+	}()
+	k.Run()
+}
+
+// A lock holder preempted while a spinner takes the only CPU can never
+// run again. With timer ticks on, every tick finds no slice to
+// interrupt and nothing else pending, so the world ends in the
+// deadlock dump instead of ticking forever.
+func TestTickedSpinLivelockPanics(t *testing.T) {
+	k := New(Config{NumCPUs: 1, ContextSwitch: 100, TickPeriod: 10_000, TickCost: 100, Quantum: 20_000, Preemptive: true})
+	spin := NewSpinLock(k, "l")
+	k.Spawn("holder", func(p *Proc) {
+		spin.Lock(p)
+		p.Exec(100_000)
+		spin.Unlock(p)
+	})
+	k.Spawn("spinner", func(p *Proc) {
+		spin.Lock(p)
+		spin.Unlock(p)
+	})
+	defer func() {
+		got, _ := recover().(string)
+		for _, want := range []string{
+			"sim: deadlock\n",
+			`"holder" state=runnable`,
+			`"spinner" state=spinning daemon=false block="spin:l"`,
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("panic %q lacks %q", got, want)
+			}
 		}
 	}()
 	k.Run()
