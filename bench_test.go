@@ -127,7 +127,7 @@ func BenchmarkBucketFor(b *testing.B) {
 }
 
 func BenchmarkConcurrentRecordLocked(b *testing.B) {
-	p := osprof.NewConcurrentProfile("op", osprof.Locked, 0)
+	p := osprof.NewRecorder(osprof.WithLockingMode(osprof.Locked)).Collector("op")
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			p.Record(0, 100)
@@ -136,7 +136,7 @@ func BenchmarkConcurrentRecordLocked(b *testing.B) {
 }
 
 func BenchmarkConcurrentRecordUnsync(b *testing.B) {
-	p := osprof.NewConcurrentProfile("op", osprof.Unsync, 0)
+	p := osprof.NewRecorder(osprof.WithLockingMode(osprof.Unsync)).Collector("op")
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			p.Record(0, 100)
@@ -147,7 +147,7 @@ func BenchmarkConcurrentRecordUnsync(b *testing.B) {
 }
 
 func BenchmarkConcurrentRecordSharded(b *testing.B) {
-	p := osprof.NewConcurrentProfile("op", osprof.Sharded, 64)
+	p := osprof.NewRecorder(osprof.WithLockingMode(osprof.Sharded), osprof.WithShards(64)).Collector("op")
 	var nextShard atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		// Each worker gets its own shard — the §3.4 per-thread design.

@@ -23,6 +23,17 @@ import (
 // references, or as a matrix-wide regression gate that re-records the
 // scenarios and holds each fresh run against its baseline.
 
+// openArchive opens the archive at dir and reports on stderr any
+// damage Open healed (a torn segment tail truncated away), so a crash
+// that cost an index line is never silent.
+func openArchive(dir string, stderr io.Writer) (*store.Archive, error) {
+	arch, err := store.Open(dir)
+	if err == nil && arch.Warning() != "" {
+		fmt.Fprintf(stderr, "osprof: warning: %s\n", arch.Warning())
+	}
+	return arch, err
+}
+
 // cmdRecord implements `osprof record` (and, with markBaseline, the
 // recording half of `osprof baseline`). A non-empty inject names a
 // fault preset applied to every selected scenario before recording:
@@ -81,7 +92,7 @@ func cmdRecord(rest []string, seed int64, archiveDir string, opt runner.Options,
 		}
 		return 0
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2
@@ -186,7 +197,7 @@ func firstFailure(rr *runner.RunResult) string {
 
 // cmdBaselineList implements `osprof baseline list`.
 func cmdBaselineList(archiveDir string, stdout, stderr io.Writer) int {
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2
@@ -217,7 +228,7 @@ func cmdBaselineList(archiveDir string, stdout, stderr io.Writer) int {
 // differences found, 2 usage/archive errors.
 func cmdDiff(rest []string, seed int64, archiveDir string, opt runner.Options,
 	jsonOut, layers, loadFlag bool, stdout, stderr io.Writer) int {
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2

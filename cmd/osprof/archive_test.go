@@ -289,3 +289,31 @@ func TestDiffUsageErrors(t *testing.T) {
 		t.Errorf("unrecorded ref exit=%d stderr=%s", code, errOut)
 	}
 }
+
+// A torn trailing index line (a crashed appender) is healed by Open;
+// the CLI must say so on stderr rather than silently dropping the run.
+func TestArchiveListReportsHealedTail(t *testing.T) {
+	archive := t.TempDir()
+	recordJSON(t, archive, "ext2/readzero")
+	segs, err := filepath.Glob(filepath.Join(archive, "index.d", "shard-*", "seg-*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v err=%v, want exactly one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut into the closing quote of the run's name: the line no longer
+	// parses.
+	if err := os.WriteFile(segs[0], data[:len(data)-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := exec(t, "archive", "list", "-archive", archive)
+	if code != 0 || !strings.Contains(errOut, "dropped truncated trailing line") {
+		t.Fatalf("archive list exit=%d stderr=%q, want exit 0 and the heal warning", code, errOut)
+	}
+	// The heal is durable: a second open is clean.
+	if code, _, errOut = exec(t, "archive", "list", "-archive", archive); code != 0 || errOut != "" {
+		t.Errorf("reopen exit=%d stderr=%q, want a clean open", code, errOut)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"osprof/internal/experiments"
 	"osprof/internal/report"
 	"osprof/internal/runner"
-	"osprof/internal/store"
 )
 
 // This file implements the identification subcommands: `osprof corpus
@@ -42,7 +41,7 @@ func cmdCorpus(rest []string, seed int64, archiveDir string, opt runner.Options,
 		return 0
 	}
 
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2
@@ -65,7 +64,7 @@ func cmdIdentify(rest []string, archiveDir, expect string, jsonOut bool,
 		fmt.Fprintf(stderr, "osprof: identify takes exactly one run reference, got %d\n", len(rest))
 		return 2
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2

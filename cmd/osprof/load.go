@@ -7,7 +7,6 @@ import (
 
 	"osprof/internal/core"
 	"osprof/internal/report"
-	"osprof/internal/store"
 )
 
 // cmdLoad implements `osprof load <ref>`: the run's load-conditioned
@@ -21,7 +20,7 @@ func cmdLoad(rest []string, archiveDir string, realtime, jsonOut bool, stdout, s
 		fmt.Fprintln(stderr, "osprof: usage: osprof load <ref> [-realtime] [-json]")
 		return 2
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2

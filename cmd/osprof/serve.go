@@ -30,9 +30,9 @@ import (
 // periodically and Close on shutdown so coalesced state cannot be
 // stranded. withPprof adds the net/http/pprof profiling endpoints
 // under /debug/pprof/ — off by default; the profiler profiled is
-// opt-in, never ambient.
-func listenArchive(archiveDir, addr string, withPprof bool) (net.Listener, http.Handler, *serve.Server, error) {
-	arch, err := store.Open(archiveDir)
+// opt-in, never ambient. Damage healed at open is reported on stderr.
+func listenArchive(archiveDir, addr string, withPprof bool, stderr io.Writer) (net.Listener, http.Handler, *serve.Server, error) {
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -90,7 +90,7 @@ func cmdServe(rest []string, archiveDir, addr string, drain time.Duration,
 		fmt.Fprintf(stderr, "osprof: serve takes no positional arguments, got %q\n", rest)
 		return 2
 	}
-	ln, handler, sv, err := listenArchive(archiveDir, addr, withPprof)
+	ln, handler, sv, err := listenArchive(archiveDir, addr, withPprof, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2
@@ -147,7 +147,7 @@ func cmdArchive(rest []string, archiveDir string, keep, limit, after int,
 		fmt.Fprintln(stderr, "osprof: usage: osprof archive list [-limit N] [-after SEQ] [-label L] | osprof archive gc [-keep N]")
 		return 2
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2
@@ -167,13 +167,9 @@ func cmdArchive(rest []string, archiveDir string, keep, limit, after int,
 				e.Seq, e.ID, orDash(e.Fingerprint), e.Name, labelCol)
 		}
 		if limit > 0 || after > 0 || label != "" {
-			entries, more, labelAware, err := arch.ListPageLabel(label, after, limit)
+			entries, more, err := arch.ListPage(label, after, limit)
 			if err != nil {
 				fmt.Fprintf(stderr, "osprof: %v\n", err)
-				return 2
-			}
-			if label != "" && !labelAware {
-				fmt.Fprintln(stderr, "osprof: archive index predates label mirroring; re-record to rebuild it")
 				return 2
 			}
 			if jsonOut {

@@ -24,7 +24,7 @@ import (
 // test goroutine), then drives the ingest -> list -> self-diff
 // workflow over real HTTP.
 func TestServeSubcommandEndToEnd(t *testing.T) {
-	ln, handler, sv, err := listenArchive(t.TempDir(), "127.0.0.1:0", false)
+	ln, handler, sv, err := listenArchive(t.TempDir(), "127.0.0.1:0", false, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestServeSubcommandEndToEnd(t *testing.T) {
 // profiling surface on a fleet-facing listener must be deliberate.
 func TestServePprofOptIn(t *testing.T) {
 	for _, on := range []bool{false, true} {
-		ln, handler, sv, err := listenArchive(t.TempDir(), "127.0.0.1:0", on)
+		ln, handler, sv, err := listenArchive(t.TempDir(), "127.0.0.1:0", on, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"osprof/internal/report"
-	"osprof/internal/store"
 	"osprof/internal/summary"
 )
 
@@ -21,7 +20,7 @@ func cmdSummary(rest []string, archiveDir string, jsonOut bool, stdout, stderr i
 		fmt.Fprintln(stderr, "osprof: usage: osprof summary <ref> [-json]")
 		return 2
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2

@@ -6,7 +6,6 @@ import (
 
 	"osprof/internal/classify"
 	"osprof/internal/report"
-	"osprof/internal/store"
 	"osprof/internal/watch"
 )
 
@@ -25,7 +24,7 @@ func cmdWatch(rest []string, archiveDir, expect string, jsonOut bool,
 		fmt.Fprintf(stderr, "osprof: watch takes exactly one run reference, got %d\n", len(rest))
 		return 2
 	}
-	arch, err := store.Open(archiveDir)
+	arch, err := openArchive(archiveDir, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "osprof: %v\n", err)
 		return 2

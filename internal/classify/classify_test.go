@@ -3,9 +3,6 @@ package classify
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"osprof/internal/core"
@@ -259,56 +256,6 @@ func TestAbstentionRankingMarshalsEmpty(t *testing.T) {
 	}
 	if !bytes.Contains(b, []byte(`"ranking":[]`)) {
 		t.Errorf("abstention report: %s", b)
-	}
-}
-
-// An archive whose index predates the mirrored label field (entries
-// read as unlabeled even though the envelopes carry label metadata)
-// must still yield its corpus: when the index shows nothing labeled,
-// FromArchive falls back to scanning every object.
-func TestFromArchivePreLabelIndexFallsBack(t *testing.T) {
-	arch, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := arch.Put(mkRun("old-label", map[string][]uint64{"read": many(1<<6, 100)})); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := arch.Put(&core.Run{Set: core.NewSet("unlabeled")}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := arch.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the archive as a legacy v1 one (pre-label index lines:
-	// run SEQ ID FP "name") and reopen: the segmented index is gone,
-	// so the entries read as unlabeled.
-	var old bytes.Buffer
-	old.WriteString("osprof-index v1\n")
-	for _, e := range entries {
-		fmt.Fprintf(&old, "run %d %s - %q\n", e.Seq, e.ID, e.Name)
-	}
-	if err := os.RemoveAll(filepath.Join(arch.Dir(), "index.d")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(arch.Dir(), "index"), old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	arch, err = store.Open(arch.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corpus, labeled, err := FromArchive(arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labeled != 1 {
-		t.Errorf("labeled=%d, want 1 via the full-scan fallback", labeled)
-	}
-	if got := corpus.Labels(); len(got) != 1 || got[0] != "old-label" {
-		t.Errorf("labels %v, want [old-label]", got)
 	}
 }
 

@@ -25,24 +25,12 @@ import (
 // resolution-mismatch reason instead of erroring. The labeled count
 // reflects only the runs kept.
 func FromArchive(arch *store.Archive) (*Corpus, int, error) {
-	// The index mirrors each run's label (a v2 index), so unlabeled
-	// runs — the bulk of a long-lived regression archive — are skipped
-	// without loading their objects, and a label-aware index with no
-	// labeled entries is trusted to mean an empty corpus. Only a
-	// pre-label (v1) index is inconclusive: its entries read as
-	// unlabeled even when the envelopes carry label metadata, so fall
-	// back to scanning every object the old way. (A v1 index rewritten
-	// to v2 by a later Put or GC keeps its old entries' empty Label
-	// fields; such pre-upgrade corpus members stay invisible until the
-	// corpus is re-recorded.)
-	scan, labelAware, err := arch.ListLabeled()
+	// The index mirrors each run's label, so unlabeled runs — the bulk
+	// of a long-lived regression archive — are skipped without loading
+	// their objects.
+	scan, err := arch.ListLabeled()
 	if err != nil {
 		return nil, 0, fmt.Errorf("classify: %w", err)
-	}
-	if !labelAware && len(scan) == 0 {
-		if scan, err = arch.List(); err != nil {
-			return nil, 0, fmt.Errorf("classify: %w", err)
-		}
 	}
 	byR := make(map[int][]*core.Run)
 	for _, e := range scan {

@@ -79,20 +79,12 @@ type ConcurrentProfile struct {
 	attempts atomic.Uint64
 }
 
-// NewConcurrentProfile creates a concurrent histogram for op at
-// resolution 1. shards is the number of per-thread bucket arrays used
-// in Sharded mode (ignored otherwise; one array is used).
-//
-// Deprecated-leaning shim: new code should construct collectors via
-// the live Recorder options (internal/live, re-exported as
-// osprof.NewRecorder), which compose resolution, mode, shard count and
-// clock source; this constructor remains for direct low-level use.
-func NewConcurrentProfile(op string, mode LockingMode, shards int) *ConcurrentProfile {
-	return NewConcurrentProfileR(op, 1, mode, shards)
-}
-
 // NewConcurrentProfileR creates a concurrent histogram for op at
 // resolution r (buckets per doubling of latency, like NewProfileR).
+// shards is the number of per-thread bucket arrays used in Sharded
+// mode (ignored otherwise; one array is used). New code constructs
+// collectors through the live Recorder options (internal/live,
+// re-exported as osprof.NewRecorder) instead.
 func NewConcurrentProfileR(op string, r int, mode LockingMode, shards int) *ConcurrentProfile {
 	if r < 1 {
 		r = 1

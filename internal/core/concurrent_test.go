@@ -21,7 +21,7 @@ func hammer(p *ConcurrentProfile, workers, perWorker int) {
 }
 
 func TestLockedModeNeverLoses(t *testing.T) {
-	p := NewConcurrentProfile("op", Locked, 0)
+	p := NewConcurrentProfileR("op", 1, Locked, 0)
 	hammer(p, 8, 10_000)
 	if lost := p.Lost(); lost != 0 {
 		t.Errorf("locked mode lost %d updates", lost)
@@ -35,7 +35,7 @@ func TestShardedModeNeverLoses(t *testing.T) {
 	// §3.4 solution 2: "we make each process or thread update its own
 	// profile in memory. This prevents lost updates on systems with
 	// any number of CPUs."
-	p := NewConcurrentProfile("op", Sharded, 8)
+	p := NewConcurrentProfileR("op", 1, Sharded, 8)
 	hammer(p, 8, 10_000)
 	if lost := p.Lost(); lost != 0 {
 		t.Errorf("sharded mode lost %d updates", lost)
@@ -50,7 +50,7 @@ func TestShardedModeNeverLoses(t *testing.T) {
 }
 
 func TestUnsyncModeSingleThreadExact(t *testing.T) {
-	p := NewConcurrentProfile("op", Unsync, 0)
+	p := NewConcurrentProfileR("op", 1, Unsync, 0)
 	for i := 0; i < 1000; i++ {
 		p.Record(0, uint64(i))
 	}
@@ -64,7 +64,7 @@ func TestUnsyncModeMayLoseButBounded(t *testing.T) {
 	// updates under concurrency; verify the accounting never goes
 	// negative and losses stay a small fraction, as the paper found
 	// (<1% even in the worst case on 2 CPUs).
-	p := NewConcurrentProfile("op", Unsync, 0)
+	p := NewConcurrentProfileR("op", 1, Unsync, 0)
 	hammer(p, 2, 50_000)
 	att, lost := p.Attempts(), p.Lost()
 	if att != 100_000 {
@@ -91,7 +91,7 @@ func TestLockingModeString(t *testing.T) {
 }
 
 func TestConcurrentSnapshotIsPlainProfile(t *testing.T) {
-	p := NewConcurrentProfile("op", Sharded, 4)
+	p := NewConcurrentProfileR("op", 1, Sharded, 4)
 	p.Record(0, 10)
 	p.Record(3, 1000)
 	snap := p.Snapshot()
@@ -107,7 +107,7 @@ func TestConcurrentSnapshotIsPlainProfile(t *testing.T) {
 // and Max were lost and Mean() reported 0 no matter what was recorded.
 func TestConcurrentSnapshotPreservesTotals(t *testing.T) {
 	for _, mode := range []LockingMode{Unsync, Locked, Sharded} {
-		p := NewConcurrentProfile("op", mode, 4)
+		p := NewConcurrentProfileR("op", 1, mode, 4)
 		// Matching single-writer reference profile.
 		want := NewProfile("op")
 		for i, lat := range []uint64{10, 1000, 250, 3} {
@@ -129,14 +129,14 @@ func TestConcurrentSnapshotPreservesTotals(t *testing.T) {
 }
 
 func TestConcurrentSnapshotEmpty(t *testing.T) {
-	snap := NewConcurrentProfile("op", Sharded, 4).Snapshot()
+	snap := NewConcurrentProfileR("op", 1, Sharded, 4).Snapshot()
 	if snap.Count != 0 || snap.Total != 0 || snap.Min != 0 || snap.Max != 0 {
 		t.Errorf("empty snapshot not zero: %+v", snap)
 	}
 }
 
 func TestShardedNegativeShardDoesNotPanic(t *testing.T) {
-	p := NewConcurrentProfile("op", Sharded, 4)
+	p := NewConcurrentProfileR("op", 1, Sharded, 4)
 	p.Record(-1, 100)
 	p.Record(-5, 100)
 	if n := p.Snapshot().Count; n != 2 {
@@ -178,7 +178,7 @@ func TestSnapshotUnderConcurrentWrite(t *testing.T) {
 	for _, mode := range []LockingMode{Unsync, Locked, Sharded} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			p := NewConcurrentProfile("op", mode, 4)
+			p := NewConcurrentProfileR("op", 1, mode, 4)
 			const workers, perWorker = 4, 20_000
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {

@@ -385,8 +385,8 @@ func (s *server) flushHandler(w http.ResponseWriter, r *http.Request) {
 // page (default and cap defaultRunsLimit, so an unbounded archive
 // cannot be asked for in one response). The response marks truncation
 // and carries the next cursor. ?label= restricts the listing to runs
-// carrying that corpus label (the v2 label-aware index), composing
-// with the cursor: the Seq cursor pages the filtered sequence.
+// carrying that corpus label, composing with the cursor: the Seq
+// cursor pages the filtered sequence.
 func (s *server) runs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := defaultRunsLimit
@@ -409,19 +409,7 @@ func (s *server) runs(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	var entries []store.Entry
-	var more bool
-	var err error
-	if label := q.Get("label"); label != "" {
-		var labelAware bool
-		entries, more, labelAware, err = s.arch.ListPageLabel(label, after, limit)
-		if err == nil && !labelAware {
-			fail(w, http.StatusConflict, "archive index predates label mirroring; re-record to rebuild it")
-			return
-		}
-	} else {
-		entries, more, err = s.arch.ListPage(after, limit)
-	}
+	entries, more, err := s.arch.ListPage(q.Get("label"), after, limit)
 	if err != nil {
 		fail(w, http.StatusInternalServerError, "archive: %v", err)
 		return

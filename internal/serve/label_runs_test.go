@@ -3,13 +3,10 @@ package serve_test
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"osprof/internal/report"
 	"osprof/internal/serve"
-	"osprof/internal/store"
 )
 
 // GET /v1/runs?label= composes with cursor paging: the Seq cursor
@@ -81,31 +78,5 @@ func TestRunsLabelPaging(t *testing.T) {
 		if r.Label != labels[i] {
 			t.Fatalf("run %d label = %q, want %q", i, r.Label, labels[i])
 		}
-	}
-}
-
-// A label query against an archive whose index predates label
-// mirroring answers 409: an empty filtered page would be inconclusive,
-// not a fact.
-func TestRunsLabelLegacyIndexConflict(t *testing.T) {
-	dir := t.TempDir()
-	// A legacy v1 single-file index (the pre-label on-disk layout).
-	if err := os.WriteFile(filepath.Join(dir, "index"), []byte("osprof-index v1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	arch, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := serve.New(arch, serve.Options{}).Handler()
-
-	var errDoc serve.ErrorDoc
-	do(t, h, http.MethodGet, "/v1/runs?label=cell-a", nil, http.StatusConflict, &errDoc)
-
-	// Unfiltered listings of the same archive still work.
-	var all report.RunListDoc
-	do(t, h, http.MethodGet, "/v1/runs", nil, http.StatusOK, &all)
-	if len(all.Runs) != 0 {
-		t.Fatalf("legacy listing: %+v", all)
 	}
 }

@@ -237,63 +237,3 @@ func TestLoadRejectsBadSegmentHeader(t *testing.T) {
 		t.Error("unknown segment version loaded silently")
 	}
 }
-
-// A legacy single-file index with a torn trailing line opens with a
-// warning (entries intact), and the first write migrates it to the
-// segmented layout, healing the damage for good.
-func TestLegacyTornTailMigratesClean(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, _, err := a.Put(testRun("fp1", "ext2/grep", 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, _, err := a.Put(testRun("fp2", "reiser/walk", 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct the archive as a legacy single-file one, with the
-	// baseline line torn mid-write.
-	if err := os.RemoveAll(filepath.Join(dir, "index.d")); err != nil {
-		t.Fatal(err)
-	}
-	legacy := indexHeader + "\n" +
-		"run 1 " + id1 + " fp1 \"ext2/grep\"\n" +
-		"run 2 " + id2 + " fp2 \"reiser/walk\"\n" +
-		"baseline fp" // torn mid-fingerprint: cannot parse as any line
-	if err := os.WriteFile(filepath.Join(dir, "index"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Warning() == "" {
-		t.Error("torn legacy tail raised no warning")
-	}
-	if entries, err := b.List(); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy entries: %v err=%v", entries, err)
-	}
-	// First write migrates: the legacy file is gone, segments exist,
-	// and a fresh Open is clean.
-	if _, _, err := b.Put(testRun("fp3", "heal/run", 300)); err != nil {
-		t.Fatal(err)
-	}
-	if b.Warning() != "" {
-		t.Errorf("warning survived migration: %q", b.Warning())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index")); !os.IsNotExist(err) {
-		t.Error("legacy index file survived migration")
-	}
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries, err := c.List(); err != nil || len(entries) != 3 || c.Warning() != "" {
-		t.Fatalf("migrated archive: %d entries err=%v warning=%q", len(entries), err, c.Warning())
-	}
-}

@@ -1,17 +1,13 @@
 package store
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// TestListPageLabelPaging pins the label filter's interaction with the
+// TestListPageByLabelPaging pins the label filter's interaction with the
 // Seq cursor: the cursor pages the *filtered* sequence, so resuming
 // with the last returned entry's Seq never skips or repeats a matching
 // run, whatever unlabeled (or differently labeled) entries sit between
 // them.
-func TestListPageLabelPaging(t *testing.T) {
+func TestListPageByLabelPaging(t *testing.T) {
 	a := open(t)
 	put := func(i int, label string) {
 		t.Helper()
@@ -35,12 +31,9 @@ func TestListPageLabelPaging(t *testing.T) {
 	var got []int
 	after, pages := 0, 0
 	for {
-		entries, more, aware, err := a.ListPageLabel("cell", after, 2)
+		entries, more, err := a.ListPage("cell", after, 2)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !aware {
-			t.Fatal("fresh archive is not label-aware")
 		}
 		pages++
 		for _, e := range entries {
@@ -69,60 +62,25 @@ func TestListPageLabelPaging(t *testing.T) {
 
 	// A label whose matches exactly fill the limit reports more=false:
 	// the scan runs past the page to prove nothing follows.
-	entries, more, _, err := a.ListPageLabel("other", 0, 2)
+	entries, more, err := a.ListPage("other", 0, 2)
 	if err != nil || len(entries) != 2 || more {
 		t.Fatalf("exact-fit page: entries=%d more=%v err=%v", len(entries), more, err)
 	}
 
 	// Unknown labels page to nothing, without error.
-	if entries, more, _, err = a.ListPageLabel("ghost", 0, 2); err != nil || len(entries) != 0 || more {
+	if entries, more, err = a.ListPage("ghost", 0, 2); err != nil || len(entries) != 0 || more {
 		t.Fatalf("unknown label: entries=%d more=%v err=%v", len(entries), more, err)
 	}
 
-	// An empty label is plain ListPage — same entries, same cursor.
-	labeled, lmore, _, err := a.ListPageLabel("", 3, 4)
-	if err != nil {
-		t.Fatal(err)
+	// An empty label pages every entry, labeled or not: seqs 4..7, with
+	// 8 and 9 still to come.
+	entries, more, err = a.ListPage("", 3, 4)
+	if err != nil || !more || len(entries) != 4 {
+		t.Fatalf("empty label: entries=%d more=%v err=%v", len(entries), more, err)
 	}
-	plain, pmore, err := a.ListPage(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labeled) != len(plain) || lmore != pmore {
-		t.Fatalf("empty-label passthrough: %d/%v vs %d/%v", len(labeled), lmore, len(plain), pmore)
-	}
-	for i := range plain {
-		if labeled[i].Seq != plain[i].Seq {
-			t.Fatalf("empty-label page diverges at %d: %+v vs %+v", i, labeled[i], plain[i])
+	for i, e := range entries {
+		if e.Seq != 4+i {
+			t.Fatalf("empty-label page = %+v, want seqs 4..7", entries)
 		}
-	}
-}
-
-// A legacy v1 index has no label column: ListPageLabel must report
-// labelAware=false so callers can refuse instead of returning a
-// misleading empty page.
-func TestListPageLabelLegacyIndex(t *testing.T) {
-	a := open(t)
-	id, _, err := a.Put(testRun("fp1", "ext2/grep", 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(a.Dir(), "index.d")); err != nil {
-		t.Fatal(err)
-	}
-	old := "osprof-index v1\nrun 1 " + id + " fp1 \"ext2/grep\"\n"
-	if err := os.WriteFile(a.indexPath(), []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Open(a.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, aware, err := legacy.ListPageLabel("cell", 0, 2); err != nil || aware {
-		t.Errorf("v1 index reported label-aware (err=%v)", err)
-	}
-	// The empty-label passthrough carries the same flag.
-	if _, _, aware, _ := legacy.ListPageLabel("", 0, 2); aware {
-		t.Error("v1 index reported label-aware on passthrough")
 	}
 }

@@ -12,29 +12,23 @@ import (
 )
 
 // This file implements the on-disk half of the segmented index: per-
-// shard directories of append-only segment files, the legacy
-// single-file index loader (and its migration), and compaction.
+// shard directories of append-only segment files, and compaction.
 //
 // Layout:
 //
 //	<dir>/index.d/shard-<k>/seg-<nnnnnnnn>
-//	<dir>/index.d/unlabeled            (marker: migrated from a v1
-//	                                    index whose entries never
-//	                                    mirrored labels)
 //
-// Every segment starts with a header line and then holds the same
-// line grammar as the legacy index (`run ...` / `baseline ...`).
-// Segments are append-only: recording a run appends ONE line to the
-// owning shard's active (highest-numbered) segment — O(1), where the
-// legacy index rewrote every line on every Put — and a segment that
-// reaches maxSegmentLines is sealed by simply starting the next one.
-// Sealed segments are immutable; compaction (GC) replaces a shard's
-// segments with one freshly written file.
+// Every segment starts with a header line and then holds `run ...` /
+// `baseline ...` lines. Segments are append-only: recording a run
+// appends ONE line to the owning shard's active (highest-numbered)
+// segment — O(1) — and a segment that reaches maxSegmentLines is
+// sealed by simply starting the next one. Sealed segments are
+// immutable; compaction (GC) replaces a shard's segments with one
+// freshly written file.
 //
-// Crash safety inverts the legacy scheme: appends are not atomic, so
-// the LAST line of a shard's ACTIVE segment may be torn — load drops
-// it, records a warning, and the next append truncates the tear away
-// before writing (the self-heal). Sealed segments were never appended
+// Crash safety: appends are not atomic, so the LAST line of a shard's
+// ACTIVE segment may be torn — Open drops it, records a warning, and
+// truncates the tear away before any append (the self-heal). Sealed segments were never appended
 // to after their last validated load, so damage there — like damage
 // mid-file — is real corruption and still fails loudly. Compaction
 // writes its replacement segment atomically (temp + rename) before
@@ -47,13 +41,6 @@ const (
 	// maxSegmentLines seals a segment once it holds this many body
 	// lines; Archive copies it into segLimit so tests can shrink it.
 	maxSegmentLines = 4096
-)
-
-// Legacy single-file index headers (read for migration; never written
-// anymore).
-const (
-	indexHeader   = "osprof-index v2"
-	indexHeaderV1 = "osprof-index v1"
 )
 
 // shard is one index shard's writer state. Fields are guarded by mu;
@@ -182,15 +169,13 @@ func (sl *shardLoad) readSegment(path string, active bool) error {
 	return nil
 }
 
-// index is the transient parse target shared with the legacy loader.
+// index is the transient parse target of readSegment.
 type index struct {
-	entries    []Entry
-	baselines  map[string]string
-	labelAware bool
+	entries   []Entry
+	baselines map[string]string
 }
 
-// parseIndexLine parses one index body line (blank lines are no-ops).
-// The grammar is shared by legacy index files and segment files.
+// parseIndexLine parses one segment body line (blank lines are no-ops).
 func parseIndexLine(idx *index, line string) error {
 	fields := strings.Fields(line)
 	switch {
@@ -200,7 +185,7 @@ func parseIndexLine(idx *index, line string) error {
 		// The trailing name is %q-quoted and may contain spaces,
 		// optionally followed by a %q-quoted label: split off the
 		// four fixed fields, then peel quoted strings off the rest.
-		// Pre-label index lines simply have no label field.
+		// Unlabeled runs have no label field.
 		parts := strings.SplitN(line, " ", 5)
 		if len(parts) != 5 {
 			return fmt.Errorf("malformed run entry %q", line)
@@ -240,7 +225,7 @@ func parseIndexLine(idx *index, line string) error {
 	}
 }
 
-// formatEntry renders one run line of the shared index grammar.
+// formatEntry renders one run line of the segment grammar.
 func formatEntry(b *strings.Builder, e Entry) {
 	if e.Label != "" {
 		fmt.Fprintf(b, "run %d %s %s %q %q\n", e.Seq, e.ID, orDash(e.Fingerprint), e.Name, e.Label)
@@ -347,42 +332,6 @@ func (s *shard) compact(entries []Entry, baselines map[string]string) error {
 	s.activeSeg = next
 	s.activeLines = len(entries) + len(baselines)
 	return nil
-}
-
-// loadLegacy parses the legacy single-file index; a malformed FINAL
-// line is skipped (warning) — only the last line can be a torn partial
-// write under the old atomic-rewrite scheme — while malformed lines
-// anywhere else fail loudly.
-func loadLegacy(path string) (*index, string, error) {
-	idx := &index{baselines: make(map[string]string), labelAware: true}
-	warning := ""
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("store: %w", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	switch strings.TrimSpace(lines[0]) {
-	case indexHeader:
-	case indexHeaderV1:
-		idx.labelAware = false
-	default:
-		return nil, "", fmt.Errorf("store: bad index header")
-	}
-	body := lines[1:]
-	last := len(body) - 1
-	for last >= 0 && strings.TrimSpace(body[last]) == "" {
-		last--
-	}
-	for n, line := range body {
-		if err := parseIndexLine(idx, line); err != nil {
-			if n == last {
-				warning = fmt.Sprintf("store: index: dropped truncated trailing line %d: %v", n+2, err)
-				break
-			}
-			return nil, "", fmt.Errorf("store: index line %d: %w", n+2, err)
-		}
-	}
-	return idx, warning, nil
 }
 
 // orDash substitutes "-" for an empty fingerprint so the index stays

@@ -75,7 +75,7 @@ func TestListPage(t *testing.T) {
 	var got []string
 	after, pages := 0, 0
 	for {
-		page, more, err := a.ListPage(after, 3)
+		page, more, err := a.ListPage("", after, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +100,11 @@ func TestListPage(t *testing.T) {
 		}
 	}
 	// Cursor past the end: empty page, no more.
-	if page, more, _ := a.ListPage(1_000_000, 3); len(page) != 0 || more {
+	if page, more, _ := a.ListPage("", 1_000_000, 3); len(page) != 0 || more {
 		t.Errorf("past-the-end page: %v more=%v", page, more)
 	}
 	// limit <= 0 means everything.
-	if page, more, _ := a.ListPage(0, 0); len(page) != 7 || more {
+	if page, more, _ := a.ListPage("", 0, 0); len(page) != 7 || more {
 		t.Errorf("unlimited page: %d entries more=%v", len(page), more)
 	}
 }
@@ -215,7 +215,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 					}
 					last = e.Seq
 				}
-				if _, _, err := a.ListPage(entries[0].Seq, 5); err != nil {
+				if _, _, err := a.ListPage("", entries[0].Seq, 5); err != nil {
 					t.Errorf("ListPage during writes: %v", err)
 					return
 				}

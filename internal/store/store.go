@@ -12,9 +12,8 @@
 //     reruns deduplicate for free, and any bit rot is detectable.
 //   - index.d/shard-<k>/seg-<n> is the segmented run index: every
 //     recorded run is ONE appended line in its fingerprint's shard
-//     (plus one baseline pointer line per blessing). Appends are O(1)
-//     — the archive no longer rewrites the whole index per Put — and
-//     full segments are sealed and later folded together by
+//     (plus one baseline pointer line per blessing). Appends are O(1),
+//     and full segments are sealed and later folded together by
 //     compaction (GC). See segment.go for the on-disk details,
 //     including how a torn trailing line self-heals.
 //
@@ -72,12 +71,7 @@ type Archive struct {
 	nextSeq int
 	snap    atomic.Pointer[snapshot]
 
-	// migMu guards the one-shot migration of a legacy single-file
-	// index into the segmented layout (performed by the first write).
-	migMu  sync.Mutex
-	legacy bool
-
-	warnMu  sync.Mutex
+	// warning is set once by Open and read-only afterwards.
 	warning string
 }
 
@@ -85,9 +79,8 @@ type Archive struct {
 // entries is ascending by Seq; a published snapshot is never mutated
 // (appends build a new one, sharing the backing array where safe).
 type snapshot struct {
-	entries    []Entry
-	baselines  map[string]string // fingerprint -> run ID
-	labelAware bool
+	entries   []Entry
+	baselines map[string]string // fingerprint -> run ID
 }
 
 // Entry describes one recorded run in the index.
@@ -127,7 +120,15 @@ type PutResult struct {
 // the full index into memory. A torn trailing line in a shard's active
 // segment — the mark of a crashed appender — is healed here (truncated
 // away) and reported via Warning; real corruption fails Open loudly.
+// A directory holding a bare single-file index (the format that
+// predates index.d/) is refused untouched.
 func Open(dir string) (*Archive, error) {
+	if _, err := os.Stat(filepath.Join(dir, "index.d")); os.IsNotExist(err) {
+		old := filepath.Join(dir, "index")
+		if _, err := os.Stat(old); err == nil {
+			return nil, fmt.Errorf("store: %s: pre-segment index format is no longer supported", old)
+		}
+	}
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -141,69 +142,56 @@ func Open(dir string) (*Archive, error) {
 	return a, nil
 }
 
-// loadState reads the on-disk index (segmented layout, or the legacy
-// single file pending migration) into the first snapshot.
+// loadState reads every shard of the segmented index into the first
+// snapshot.
 func (a *Archive) loadState() error {
-	snap := &snapshot{baselines: make(map[string]string), labelAware: true}
+	snap := &snapshot{baselines: make(map[string]string)}
 	var warnings []string
-
-	if _, err := os.Stat(filepath.Join(a.dir, "index.d")); err == nil {
-		var all []Entry
-		for _, sh := range a.shards {
-			sl, err := loadShard(sh.dir)
-			if err != nil {
-				return err
-			}
-			sh.activeSeg, sh.activeLines = sl.activeSeg, sl.activeLines
-			if sl.healLen >= 0 {
-				// Heal the torn tail now: truncating the partial line
-				// keeps the invariant that every stored line is whole,
-				// so the next Open comes back clean.
-				if err := os.Truncate(sh.segPath(sh.activeSeg), sl.healLen); err != nil {
-					return fmt.Errorf("store: heal shard-%d: %w", sh.id, err)
-				}
-				warnings = append(warnings, sl.warning)
-			} else if sl.needsNewline {
-				// The final line parsed but its newline is missing (a
-				// tear on a field boundary): terminate it so an append
-				// cannot glue onto it.
-				f, err := os.OpenFile(sh.segPath(sh.activeSeg), os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return fmt.Errorf("store: heal shard-%d: %w", sh.id, err)
-				}
-				_, werr := f.WriteString("\n")
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return fmt.Errorf("store: heal shard-%d: %w", sh.id, werr)
-				}
-			}
-			all = append(all, sl.entries...)
-			for fp, id := range sl.baselines {
-				snap.baselines[fp] = id
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-		// An interrupted compaction can leave a shard's old segments
-		// beside their replacement: identical entries, deduplicated by
-		// sequence number.
-		for _, e := range all {
-			if n := len(snap.entries); n > 0 && snap.entries[n-1].Seq == e.Seq {
-				continue
-			}
-			snap.entries = append(snap.entries, e)
-		}
-	} else if _, err := os.Stat(a.indexPath()); err == nil {
-		idx, warn, err := loadLegacy(a.indexPath())
+	var all []Entry
+	for _, sh := range a.shards {
+		sl, err := loadShard(sh.dir)
 		if err != nil {
 			return err
 		}
-		a.legacy = true
-		snap.entries, snap.baselines, snap.labelAware = idx.entries, idx.baselines, idx.labelAware
-		if warn != "" {
-			warnings = append(warnings, warn)
+		sh.activeSeg, sh.activeLines = sl.activeSeg, sl.activeLines
+		if sl.healLen >= 0 {
+			// Heal the torn tail now: truncating the partial line
+			// keeps the invariant that every stored line is whole,
+			// so the next Open comes back clean.
+			if err := os.Truncate(sh.segPath(sh.activeSeg), sl.healLen); err != nil {
+				return fmt.Errorf("store: heal shard-%d: %w", sh.id, err)
+			}
+			warnings = append(warnings, sl.warning)
+		} else if sl.needsNewline {
+			// The final line parsed but its newline is missing (a
+			// tear on a field boundary): terminate it so an append
+			// cannot glue onto it.
+			f, err := os.OpenFile(sh.segPath(sh.activeSeg), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return fmt.Errorf("store: heal shard-%d: %w", sh.id, err)
+			}
+			_, werr := f.WriteString("\n")
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil {
+				return fmt.Errorf("store: heal shard-%d: %w", sh.id, werr)
+			}
 		}
+		all = append(all, sl.entries...)
+		for fp, id := range sl.baselines {
+			snap.baselines[fp] = id
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	// An interrupted compaction can leave a shard's old segments beside
+	// their replacement: identical entries, deduplicated by sequence
+	// number.
+	for _, e := range all {
+		if n := len(snap.entries); n > 0 && snap.entries[n-1].Seq == e.Seq {
+			continue
+		}
+		snap.entries = append(snap.entries, e)
 	}
 
 	a.nextSeq = 1
@@ -215,57 +203,8 @@ func (a *Archive) loadState() error {
 	return nil
 }
 
-// ensureMigrated folds a legacy single-file index into the segmented
-// layout. Every writer calls it first; reads never trigger migration,
-// so read-only workflows keep working on legacy archives untouched.
-// Like the legacy save path it replaces, migration upgrades the index
-// to the label-aware format.
-func (a *Archive) ensureMigrated() error {
-	a.migMu.Lock()
-	defer a.migMu.Unlock()
-	if !a.legacy {
-		return nil
-	}
-	snap := a.snap.Load()
-	var perEntries [numShards][]Entry
-	var perBase [numShards]map[string]string
-	for i := range perBase {
-		perBase[i] = make(map[string]string)
-	}
-	for _, e := range snap.entries {
-		k := shardFor(e.Fingerprint, numShards)
-		perEntries[k] = append(perEntries[k], e)
-	}
-	for fp, id := range snap.baselines {
-		perBase[shardFor(fp, numShards)][fp] = id
-	}
-	for i, sh := range a.shards {
-		sh.mu.Lock()
-		err := sh.compact(perEntries[i], perBase[i])
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if err := os.Remove(a.indexPath()); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	a.pubMu.Lock()
-	a.snap.Store(&snapshot{entries: snap.entries, baselines: snap.baselines, labelAware: true})
-	a.pubMu.Unlock()
-	a.legacy = false
-	a.warnMu.Lock()
-	a.warning = ""
-	a.warnMu.Unlock()
-	return nil
-}
-
 // Dir returns the archive's root directory.
 func (a *Archive) Dir() string { return a.dir }
-
-// indexPath is the legacy single-file index location (read for
-// migration only).
-func (a *Archive) indexPath() string { return filepath.Join(a.dir, "index") }
 
 func (a *Archive) objectPath(id string) string {
 	return filepath.Join(a.dir, "objects", id[:2], id[2:])
@@ -291,10 +230,6 @@ func (a *Archive) PutBatch(runs []*core.Run) ([]PutResult, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}
-	if err := a.ensureMigrated(); err != nil {
-		return nil, err
-	}
-
 	// Serialize and write objects before taking any lock: content
 	// addressing makes object writes conflict-free.
 	results := make([]PutResult, len(runs))
@@ -397,7 +332,7 @@ func (a *Archive) publishEntries(es []Entry) {
 		merged = append(merged, entries[i:]...)
 		entries = merged
 	}
-	a.snap.Store(&snapshot{entries: entries, baselines: cur.baselines, labelAware: cur.labelAware})
+	a.snap.Store(&snapshot{entries: entries, baselines: cur.baselines})
 }
 
 // writeObject atomically writes the object file unless it already
@@ -509,69 +444,46 @@ func (a *Archive) Tail() (n int, newest Entry) {
 	return n, newest
 }
 
-// ListPage returns up to limit entries with sequence numbers strictly
-// greater than after, in record order, plus whether more remain. The
-// cursor is the last returned entry's Seq: paging a listing is O(page),
-// not O(archive), and a concurrent append never shifts earlier pages.
-// limit <= 0 means no limit.
-func (a *Archive) ListPage(after, limit int) ([]Entry, bool, error) {
-	snap := a.snap.Load()
-	es := snap.entries
+// ListPage returns up to limit entries carrying the given label (every
+// entry when label is empty) with sequence numbers strictly greater
+// than after, in record order, plus whether more matching entries
+// remain. The cursor is the last returned entry's Seq: paging a listing
+// is O(page) plus the entries a label filter steps over, and a
+// concurrent append never shifts earlier pages. limit <= 0 means no
+// limit.
+func (a *Archive) ListPage(label string, after, limit int) ([]Entry, bool, error) {
+	es := a.snap.Load().entries
 	start := sort.Search(len(es), func(i int) bool { return es[i].Seq > after })
 	rest := es[start:]
-	if limit <= 0 || limit >= len(rest) {
-		out := make([]Entry, len(rest))
-		copy(out, rest)
-		return out, false, nil
-	}
-	out := make([]Entry, limit)
-	copy(out, rest[:limit])
-	return out, true, nil
-}
-
-// ListPageLabel is ListPage restricted to entries carrying the given
-// label (every entry when label is empty). The Seq cursor pages the
-// filtered sequence exactly as ListPage pages the full one: after is
-// the last returned entry's Seq, a concurrent append never shifts
-// earlier pages, and more reports whether further matching entries
-// remain. labelAware is false when the index predates label mirroring
-// (a legacy v1 index): an empty filtered page is then inconclusive,
-// the same contract as ListLabeled.
-func (a *Archive) ListPageLabel(label string, after, limit int) (entries []Entry, more, labelAware bool, err error) {
-	snap := a.snap.Load()
 	if label == "" {
-		es, m, err := a.ListPage(after, limit)
-		return es, m, snap.labelAware, err
+		if limit <= 0 || limit >= len(rest) {
+			return append([]Entry{}, rest...), false, nil
+		}
+		return append([]Entry{}, rest[:limit]...), true, nil
 	}
-	es := snap.entries
-	start := sort.Search(len(es), func(i int) bool { return es[i].Seq > after })
 	out := []Entry{}
-	for _, e := range es[start:] {
+	for _, e := range rest {
 		if e.Label != label {
 			continue
 		}
 		if limit > 0 && len(out) == limit {
-			return out, true, snap.labelAware, nil
+			return out, true, nil
 		}
 		out = append(out, e)
 	}
-	return out, false, snap.labelAware, nil
+	return out, false, nil
 }
 
-// ListLabeled returns the labeled index entries plus whether the index
-// mirrors labels at all. A false second value means the index predates
-// label mirroring (a legacy v1 index not yet rewritten): an empty
-// result is then inconclusive and the caller must inspect the archived
-// envelopes themselves.
-func (a *Archive) ListLabeled() ([]Entry, bool, error) {
-	snap := a.snap.Load()
+// ListLabeled returns the index entries that carry a label, in record
+// order.
+func (a *Archive) ListLabeled() ([]Entry, error) {
 	var out []Entry
-	for _, e := range snap.entries {
+	for _, e := range a.snap.Load().entries {
 		if e.Label != "" {
 			out = append(out, e)
 		}
 	}
-	return out, snap.labelAware, nil
+	return out, nil
 }
 
 // Latest returns the most recent entry recorded for fingerprint.
@@ -605,9 +517,6 @@ func (a *Archive) SetBaseline(fingerprint, ref string) error {
 	if fingerprint == "" {
 		return fmt.Errorf("store: baseline needs a fingerprint")
 	}
-	if err := a.ensureMigrated(); err != nil {
-		return err
-	}
 	id, err := a.Resolve(ref)
 	if err != nil {
 		return err
@@ -629,7 +538,7 @@ func (a *Archive) SetBaseline(fingerprint, ref string) error {
 		baselines[k] = v
 	}
 	baselines[fingerprint] = id
-	a.snap.Store(&snapshot{entries: cur.entries, baselines: baselines, labelAware: cur.labelAware})
+	a.snap.Store(&snapshot{entries: cur.entries, baselines: baselines})
 	a.pubMu.Unlock()
 	return nil
 }
@@ -675,9 +584,6 @@ func (a *Archive) GC(keep int) ([]string, error) {
 	if keep < 1 {
 		keep = 1
 	}
-	if err := a.ensureMigrated(); err != nil {
-		return nil, err
-	}
 	// All shard locks, ascending: no appender can be in flight, so the
 	// published snapshot is the complete, stable index.
 	for _, sh := range a.shards {
@@ -715,7 +621,7 @@ func (a *Archive) GC(keep int) ([]string, error) {
 			}
 		}
 	}
-	if err := a.compactLocked(kept, snap.baselines, snap.labelAware); err != nil {
+	if err := a.compactLocked(kept, snap.baselines); err != nil {
 		return nil, err
 	}
 	return removed, nil
@@ -725,20 +631,17 @@ func (a *Archive) GC(keep int) ([]string, error) {
 // current index — the maintenance pass that folds a long append
 // history (and any sealed segments) back into minimal files.
 func (a *Archive) Compact() error {
-	if err := a.ensureMigrated(); err != nil {
-		return err
-	}
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
 	snap := a.snap.Load()
-	return a.compactLocked(snap.entries, snap.baselines, snap.labelAware)
+	return a.compactLocked(snap.entries, snap.baselines)
 }
 
 // compactLocked rewrites all shards to hold exactly entries/baselines
 // and publishes the matching snapshot. Caller holds every shard lock.
-func (a *Archive) compactLocked(entries []Entry, baselines map[string]string, labelAware bool) error {
+func (a *Archive) compactLocked(entries []Entry, baselines map[string]string) error {
 	var perEntries [numShards][]Entry
 	var perBase [numShards]map[string]string
 	for i := range perBase {
@@ -759,7 +662,7 @@ func (a *Archive) compactLocked(entries []Entry, baselines map[string]string, la
 	a.pubMu.Lock()
 	fresh := make([]Entry, len(entries))
 	copy(fresh, entries)
-	a.snap.Store(&snapshot{entries: fresh, baselines: baselines, labelAware: labelAware})
+	a.snap.Store(&snapshot{entries: fresh, baselines: baselines})
 	a.pubMu.Unlock()
 	return nil
 }
@@ -776,11 +679,5 @@ func short(id string) string {
 // damage (empty after a clean load): a truncated trailing line in a
 // shard's active segment — the torn tail a crashed appender leaves —
 // is dropped and truncated away rather than bricking the archive, so
-// a subsequent Open comes back clean. For a legacy single-file index
-// the warning persists until the first write migrates (and thereby
-// rewrites) the index.
-func (a *Archive) Warning() string {
-	a.warnMu.Lock()
-	defer a.warnMu.Unlock()
-	return a.warning
-}
+// a subsequent Open comes back clean.
+func (a *Archive) Warning() string { return a.warning }

@@ -294,12 +294,9 @@ func TestLabelIndexedAndRoundTrips(t *testing.T) {
 	if entries[1].Label != "" {
 		t.Errorf("unlabeled entry Label = %q", entries[1].Label)
 	}
-	indexed, aware, err := a.ListLabeled()
+	indexed, err := a.ListLabeled()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !aware {
-		t.Error("freshly written index is not label-aware")
 	}
 	if len(indexed) != 1 || indexed[0].Label != "ext2-preempt c256" {
 		t.Errorf("ListLabeled = %+v", indexed)
@@ -310,67 +307,12 @@ func TestLabelIndexedAndRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, aware, err = reopened.ListLabeled()
+	indexed, err = reopened.ListLabeled()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !aware {
-		t.Error("reopened archive is not label-aware")
 	}
 	if len(indexed) != 1 || indexed[0].Label != "ext2-preempt c256" {
 		t.Errorf("reopened ListLabeled = %+v", indexed)
-	}
-}
-
-// Legacy index lines written before the label field (run SEQ ID FP
-// "name") still parse, reading as unlabeled entries; the first write
-// migrates the archive to the segmented label-aware layout.
-func TestPreLabelIndexLinesParse(t *testing.T) {
-	a := open(t)
-	id, _, err := a.Put(testRun("fp1", "ext2/grep", 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct the archive as a legacy v1 one: no segmented index,
-	// just the pre-label single file.
-	if err := os.RemoveAll(filepath.Join(a.Dir(), "index.d")); err != nil {
-		t.Fatal(err)
-	}
-	old := "osprof-index v1\nrun 1 " + id + " fp1 \"ext2/grep\"\n"
-	if err := os.WriteFile(a.indexPath(), []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Open(a.Dir())
-	if err != nil {
-		t.Fatalf("pre-label index unreadable: %v", err)
-	}
-	entries, err := legacy.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].ID != id || entries[0].Label != "" {
-		t.Errorf("entries = %+v", entries)
-	}
-	if _, aware, err := legacy.ListLabeled(); err != nil || aware {
-		t.Errorf("v1 index reported label-aware (err=%v)", err)
-	}
-	// The first write migrates the index, upgrading it to label-aware
-	// (the legacy rewrite path did the same).
-	if _, _, err := legacy.Put(testRun("fp2", "plain", 200)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy.indexPath()); !os.IsNotExist(err) {
-		t.Error("legacy index file survived migration")
-	}
-	if _, aware, _ := legacy.ListLabeled(); !aware {
-		t.Error("migrated index still reports label-unaware")
-	}
-	reopened, err := Open(a.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries, _ := reopened.List(); len(entries) != 2 {
-		t.Errorf("migrated archive lists %d entries, want 2", len(entries))
 	}
 }
 
@@ -381,6 +323,27 @@ func TestCorruptIndexRejected(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "index") {
 		t.Errorf("corrupt index not detected: %v", err)
+	}
+}
+
+// A directory holding only a pre-segment single-file index is refused:
+// Open names the file instead of presenting an empty archive, and
+// writes nothing beside it.
+func TestOpenRefusesPreSegmentIndex(t *testing.T) {
+	dir := t.TempDir()
+	index := filepath.Join(dir, "index")
+	if err := os.WriteFile(index, []byte("osprof-index v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), index) {
+		t.Fatalf("Open = %v, want an error naming %s", err, index)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 || des[0].Name() != "index" {
+		t.Errorf("Open left %v behind, want only the index file", des)
 	}
 }
 

@@ -121,17 +121,6 @@ func NewCorrelation(op string, peaks []BucketRange) *Correlation {
 	return core.NewCorrelation(op, peaks)
 }
 
-// NewConcurrentProfile creates a goroutine-safe histogram.
-//
-// Deprecated: construct live collectors through NewRecorder's
-// functional options (WithLockingMode, WithShards, WithResolution,
-// WithClock), which compose the same §3.4 update strategies with the
-// allocation-free Record/Span hot path, session snapshots, and
-// envelope export. This thin shim remains for low-level direct use.
-func NewConcurrentProfile(op string, mode LockingMode, shards int) *ConcurrentProfile {
-	return core.NewConcurrentProfile(op, mode, shards)
-}
-
 // BucketFor returns the bucket index of a latency at resolution r.
 func BucketFor(latency uint64, r int) int { return core.BucketFor(latency, r) }
 
